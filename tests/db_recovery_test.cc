@@ -196,18 +196,26 @@ TEST_F(DbRecoveryTest, RepeatedReopenCyclesStable) {
 }
 
 TEST_F(DbRecoveryTest, RecoveryFlushesOversizedWalToL0) {
-  // Write more into the WAL than one memtable holds, then reopen: the
-  // recovery path must spill to L0 tables.
+  // Write several memtables' worth and drain: the flushed ones are in
+  // L0 or below, the active one only in the WAL. Reopen: the recovery
+  // path must spill the logged writes to new L0 tables.
   for (int i = 0; i < 3000; i++) {
     ASSERT_TRUE(
         db_->Put({}, "key" + std::to_string(i), std::string(100, 'v'))
             .ok());
   }
-  Reopen();
-  EXPECT_EQ(std::string(100, 'v'), Get("key1500"));
+  ASSERT_TRUE(db_->WaitForBackgroundWork().ok());
   std::string n0;
   ASSERT_TRUE(db_->GetProperty("elmo.num-files-at-level0", &n0));
+  const int l0_before_close = std::stoi(n0);
+  // No compaction may move the recovered tables out of L0 before they
+  // are counted.
+  options_.disable_auto_compactions = true;
+  Reopen();
+  EXPECT_EQ(std::string(100, 'v'), Get("key1500"));
+  ASSERT_TRUE(db_->GetProperty("elmo.num-files-at-level0", &n0));
   EXPECT_GE(std::stoi(n0), 1);
+  EXPECT_GT(std::stoi(n0), l0_before_close);
 }
 
 TEST_F(DbRecoveryTest, ObsoleteFilesRemovedAfterCompaction) {

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -15,6 +18,26 @@
 
 namespace elmo::lsm {
 namespace {
+
+// One-shot flag another thread can wait on with a deadline.
+class Latch {
+ public:
+  void Set() {
+    std::lock_guard<std::mutex> l(mu_);
+    set_ = true;
+    cv_.notify_all();
+  }
+  // Returns whether the latch was set within `timeout`.
+  bool WaitFor(std::chrono::seconds timeout) {
+    std::unique_lock<std::mutex> l(mu_);
+    return cv_.wait_for(l, timeout, [this] { return set_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool set_ = false;
+};
 
 // Records every event payload for later inspection.
 class RecordingListener : public EventListener {
@@ -33,6 +56,8 @@ class RecordingListener : public EventListener {
   }
   void OnStallConditionChanged(const StallInfo& info) override {
     stall_changes.push_back(info);
+    // Callbacks run with the DB mutex held: signal, never block.
+    if (info.current == StallCondition::kStopped) stop_seen.Set();
   }
   void OnWriteStop(const StallInfo& info) override {
     write_stops.push_back(info);
@@ -44,6 +69,7 @@ class RecordingListener : public EventListener {
   std::vector<CompactionJobInfo> compaction_completed;
   std::vector<StallInfo> stall_changes;
   std::vector<StallInfo> write_stops;
+  Latch stop_seen;
 };
 
 class EventListenerTest : public ::testing::Test {
@@ -146,7 +172,17 @@ TEST_F(EventListenerTest, UniversalCompactionReportsUniversalReason) {
 TEST_F(EventListenerTest, StallTransitionsFireUnderMemtablePressure) {
   options_.write_buffer_size = 16 << 10;
   options_.max_write_buffer_number = 2;
+  options_.max_background_flushes = 1;
   Open();
+  // Hold the only flush thread until a writer stops: the first flush
+  // queues behind the hold, so the next full memtable must stop writes
+  // rather than race the flush. The deadline turns a regression that
+  // never stops into a failed assertion below instead of a hang.
+  env_->Schedule(
+      [listener = listener_] {
+        listener->stop_seen.WaitFor(std::chrono::seconds(30));
+      },
+      JobPriority::kHigh);
   Fill(5000, 200);
   ASSERT_TRUE(db_->WaitForBackgroundWork().ok());
 
