@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/slice.h"
@@ -112,6 +113,71 @@ class Env {
 
   // Singleton over the host OS.
   static Env* Posix();
+};
+
+// An Env that forwards every call to a base Env. Decorators (IO tracing,
+// fault injection) derive from it and override only what they change.
+class EnvWrapper : public Env {
+ public:
+  explicit EnvWrapper(Env* base) : base_(base) {}
+
+  Env* base() const { return base_; }
+
+  Status NewSequentialFile(const std::string& fname,
+                           std::unique_ptr<SequentialFile>* result) override {
+    return base_->NewSequentialFile(fname, result);
+  }
+  Status NewRandomAccessFile(
+      const std::string& fname,
+      std::unique_ptr<RandomAccessFile>* result) override {
+    return base_->NewRandomAccessFile(fname, result);
+  }
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    return base_->NewWritableFile(fname, result);
+  }
+  bool FileExists(const std::string& fname) override {
+    return base_->FileExists(fname);
+  }
+  Status GetChildren(const std::string& dir,
+                     std::vector<std::string>* result) override {
+    return base_->GetChildren(dir, result);
+  }
+  Status RemoveFile(const std::string& fname) override {
+    return base_->RemoveFile(fname);
+  }
+  Status CreateDirIfMissing(const std::string& dirname) override {
+    return base_->CreateDirIfMissing(dirname);
+  }
+  Status RemoveDir(const std::string& dirname) override {
+    return base_->RemoveDir(dirname);
+  }
+  Status GetFileSize(const std::string& fname, uint64_t* size) override {
+    return base_->GetFileSize(fname, size);
+  }
+  Status RenameFile(const std::string& src,
+                    const std::string& target) override {
+    return base_->RenameFile(src, target);
+  }
+  Status GetFreeSpace(const std::string& path, uint64_t* bytes) override {
+    return base_->GetFreeSpace(path, bytes);
+  }
+  uint64_t NowMicros() override { return base_->NowMicros(); }
+  void SleepForMicroseconds(uint64_t micros) override {
+    base_->SleepForMicroseconds(micros);
+  }
+  void Schedule(std::function<void()> job, JobPriority pri) override {
+    base_->Schedule(std::move(job), pri);
+  }
+  void WaitForBackgroundWork() override { base_->WaitForBackgroundWork(); }
+  void SetBackgroundThreads(int n, JobPriority pri) override {
+    base_->SetBackgroundThreads(n, pri);
+  }
+  bool is_deterministic() const override { return base_->is_deterministic(); }
+  void ChargeCpu(uint64_t micros) override { base_->ChargeCpu(micros); }
+
+ private:
+  Env* const base_;
 };
 
 }  // namespace elmo

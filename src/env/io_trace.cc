@@ -3,17 +3,16 @@
 #include <cstring>
 
 #include "util/coding.h"
-#include "util/crc32c.h"
 
 namespace elmo {
 
 namespace {
 
-constexpr char kIOTraceMagic[8] = {'E', 'L', 'M', 'O', 'I', 'O', 'T', '1'};
-constexpr uint32_t kIOTraceVersion = 1;
-constexpr size_t kHeaderSize = sizeof(kIOTraceMagic) + 4 + 8;
 // op + kind + ctx + ts + offset + len + latency; fname is variable.
 constexpr size_t kPayloadFixed = 1 + 1 + 1 + 8 + 8 + 8 + 8;
+
+constexpr RecordFormat kIOTraceFormat = {"ELMOIOT1", 1, "io trace",
+                                         kPayloadFixed + 1, 1u << 26};
 
 thread_local IOContextTag tls_io_context = IOContextTag::kUnknown;
 thread_local bool tls_io_metadata_hint = false;
@@ -127,20 +126,13 @@ IOMetadataHintScope::IOMetadataHintScope() : saved_(tls_io_metadata_hint) {
 
 IOMetadataHintScope::~IOMetadataHintScope() { tls_io_metadata_hint = saved_; }
 
-IOTracer::IOTracer(Env* env) : env_(env) {}
+IOTracer::IOTracer(Env* env) : file_(env, kIOTraceFormat) {}
 
 IOTracer::~IOTracer() { Close(); }
 
 Status IOTracer::Open(const std::string& path, uint64_t base_ts_us) {
   std::lock_guard<std::mutex> l(mu_);
-  Status s = env_->NewWritableFile(path, &file_);
-  if (!s.ok()) return s;
-  std::string header(kIOTraceMagic, sizeof(kIOTraceMagic));
-  PutFixed32(&header, kIOTraceVersion);
-  PutFixed64(&header, base_ts_us);
-  s = file_->Append(Slice(header));
-  if (!s.ok()) file_.reset();
-  return s;
+  return file_.Open(path, base_ts_us);
 }
 
 Status IOTracer::AddRecord(const IOTraceRecord& rec) {
@@ -156,29 +148,15 @@ Status IOTracer::AddRecord(const IOTraceRecord& rec) {
   PutVarint32(&payload, static_cast<uint32_t>(rec.fname.size()));
   payload.append(rec.fname);
 
-  std::string frame;
-  frame.reserve(8 + payload.size());
-  PutFixed32(&frame,
-             crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
-  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-  frame += payload;
-
   std::lock_guard<std::mutex> l(mu_);
-  if (file_ == nullptr) return Status::IOError("io tracer not open");
-  Status s = file_->Append(Slice(frame));
+  Status s = file_.Append(Slice(payload));
   if (s.ok()) records_++;
   return s;
 }
 
 Status IOTracer::Close() {
   std::lock_guard<std::mutex> l(mu_);
-  if (file_ == nullptr) return Status::OK();
-  Status s = file_->Flush();
-  if (s.ok()) s = file_->Sync();
-  Status c = file_->Close();
-  if (s.ok()) s = c;
-  file_.reset();
-  return s;
+  return file_.Close();
 }
 
 uint64_t IOTracer::records() const {
@@ -186,73 +164,16 @@ uint64_t IOTracer::records() const {
   return records_;
 }
 
-IOTraceReader::IOTraceReader(Env* env) : env_(env) {}
+IOTraceReader::IOTraceReader(Env* env) : file_(env, kIOTraceFormat) {}
 
 Status IOTraceReader::Open(const std::string& path) {
-  Status s = env_->NewSequentialFile(path, &file_);
-  if (!s.ok()) return s;
-  std::string header;
-  bool eof = false;
-  s = ReadFully(kHeaderSize, &header, &eof);
-  if (!s.ok()) return s;
-  if (eof || memcmp(header.data(), kIOTraceMagic, sizeof(kIOTraceMagic)) != 0) {
-    return Status::Corruption("not an elmo io trace file");
-  }
-  const uint32_t version = DecodeFixed32(header.data() + sizeof(kIOTraceMagic));
-  if (version != kIOTraceVersion) {
-    return Status::Corruption("unsupported io trace version");
-  }
-  base_ts_us_ = DecodeFixed64(header.data() + sizeof(kIOTraceMagic) + 4);
-  return Status::OK();
-}
-
-Status IOTraceReader::ReadFully(size_t n, std::string* out, bool* clean_eof) {
-  out->clear();
-  *clean_eof = false;
-  std::string scratch(n, '\0');
-  size_t got = 0;
-  while (got < n) {
-    Slice chunk;
-    Status s = file_->Read(n - got, &chunk, &scratch[0] + got);
-    if (!s.ok()) return s;
-    if (chunk.empty()) {
-      if (got == 0) {
-        *clean_eof = true;
-        return Status::OK();
-      }
-      return Status::Corruption("truncated io trace record");
-    }
-    if (chunk.data() != scratch.data() + got) {
-      memcpy(&scratch[0] + got, chunk.data(), chunk.size());
-    }
-    got += chunk.size();
-  }
-  *out = std::move(scratch);
-  return Status::OK();
+  return file_.Open(path);
 }
 
 Status IOTraceReader::Next(IOTraceRecord* rec, bool* eof) {
-  *eof = false;
-  if (file_ == nullptr) return Status::IOError("io trace reader not open");
-
-  std::string frame_header;
-  Status s = ReadFully(8, &frame_header, eof);
-  if (!s.ok() || *eof) return s;
-  const uint32_t expected_crc =
-      crc32c::Unmask(DecodeFixed32(frame_header.data()));
-  const uint32_t len = DecodeFixed32(frame_header.data() + 4);
-  if (len < kPayloadFixed + 1 || len > (1u << 26)) {
-    return Status::Corruption("bad io trace record length");
-  }
-
   std::string payload;
-  bool payload_eof = false;
-  s = ReadFully(len, &payload, &payload_eof);
-  if (!s.ok()) return s;
-  if (payload_eof) return Status::Corruption("truncated io trace record");
-  if (crc32c::Value(payload.data(), payload.size()) != expected_crc) {
-    return Status::Corruption("io trace record checksum mismatch");
-  }
+  Status s = file_.Next(&payload, eof);
+  if (!s.ok() || *eof) return s;
 
   const uint8_t op = static_cast<uint8_t>(payload[0]);
   if (op < static_cast<uint8_t>(IOOp::kRead) ||

@@ -7,9 +7,7 @@
 // append, ...). Enabled via DB::StartIOTrace/EndIOTrace; identical on
 // SimEnv (deterministic, virtual clock) and PosixEnv.
 //
-// File layout (mirrors lsm/trace.h):
-//   header:  "ELMOIOT1" | fixed32 version (=1) | fixed64 base_ts_us
-//   record:  fixed32 masked_crc(payload) | fixed32 payload_len | payload
+// File layout: util/record_file.h framing, magic "ELMOIOT1", version 1.
 //   payload: op (1) | kind (1) | ctx (1) | fixed64 ts_us | fixed64 offset
 //            | fixed64 len | fixed64 latency_us
 //            | varint32 fname_len | fname bytes
@@ -18,11 +16,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 
 #include "env/env.h"
+#include "util/record_file.h"
 #include "util/status.h"
 
 namespace elmo {
@@ -136,9 +134,8 @@ class IOTracer {
   uint64_t records() const;
 
  private:
-  Env* const env_;
   mutable std::mutex mu_;
-  std::unique_ptr<WritableFile> file_;
+  RecordFileWriter file_;
   uint64_t records_ = 0;
 };
 
@@ -156,14 +153,10 @@ class IOTraceReader {
   // of file; returns Corruption on a bad CRC or truncated record.
   Status Next(IOTraceRecord* rec, bool* eof);
 
-  uint64_t base_ts_us() const { return base_ts_us_; }
+  uint64_t base_ts_us() const { return file_.base_ts_us(); }
 
  private:
-  Status ReadFully(size_t n, std::string* out, bool* clean_eof);
-
-  Env* const env_;
-  std::unique_ptr<SequentialFile> file_;
-  uint64_t base_ts_us_ = 0;
+  RecordFileReader file_;
 };
 
 }  // namespace elmo

@@ -112,7 +112,7 @@ class TracingWritableFile : public WritableFile {
 
 }  // namespace
 
-IOTracingEnv::IOTracingEnv(Env* base) : base_(base) {}
+IOTracingEnv::IOTracingEnv(Env* base) : EnvWrapper(base) {}
 
 IOTracingEnv::~IOTracingEnv() {
   uint64_t records = 0;
@@ -122,8 +122,8 @@ IOTracingEnv::~IOTracingEnv() {
 Status IOTracingEnv::StartTrace(const std::string& path) {
   std::lock_guard<std::mutex> l(trace_mu_);
   if (tracer_ != nullptr) return Status::Busy("io trace already active");
-  auto tracer = std::make_shared<IOTracer>(base_);
-  Status s = tracer->Open(path, base_->NowMicros());
+  auto tracer = std::make_shared<IOTracer>(base());
+  Status s = tracer->Open(path, base()->NowMicros());
   if (!s.ok()) return s;
   tracer_ = std::move(tracer);
   enabled_.store(true, std::memory_order_release);
@@ -166,7 +166,7 @@ void IOTracingEnv::Emit(IOOp op, const std::string& fname, uint64_t offset,
 Status IOTracingEnv::NewSequentialFile(
     const std::string& fname, std::unique_ptr<SequentialFile>* result) {
   std::unique_ptr<SequentialFile> inner;
-  Status s = base_->NewSequentialFile(fname, &inner);
+  Status s = base()->NewSequentialFile(fname, &inner);
   if (!s.ok()) return s;
   result->reset(new TracingSequentialFile(this, fname, std::move(inner)));
   return s;
@@ -175,7 +175,7 @@ Status IOTracingEnv::NewSequentialFile(
 Status IOTracingEnv::NewRandomAccessFile(
     const std::string& fname, std::unique_ptr<RandomAccessFile>* result) {
   std::unique_ptr<RandomAccessFile> inner;
-  Status s = base_->NewRandomAccessFile(fname, &inner);
+  Status s = base()->NewRandomAccessFile(fname, &inner);
   if (!s.ok()) return s;
   result->reset(new TracingRandomAccessFile(this, fname, std::move(inner)));
   return s;
@@ -184,62 +184,10 @@ Status IOTracingEnv::NewRandomAccessFile(
 Status IOTracingEnv::NewWritableFile(const std::string& fname,
                                      std::unique_ptr<WritableFile>* result) {
   std::unique_ptr<WritableFile> inner;
-  Status s = base_->NewWritableFile(fname, &inner);
+  Status s = base()->NewWritableFile(fname, &inner);
   if (!s.ok()) return s;
   result->reset(new TracingWritableFile(this, fname, std::move(inner)));
   return s;
 }
-
-bool IOTracingEnv::FileExists(const std::string& fname) {
-  return base_->FileExists(fname);
-}
-
-Status IOTracingEnv::GetChildren(const std::string& dir,
-                                 std::vector<std::string>* result) {
-  return base_->GetChildren(dir, result);
-}
-
-Status IOTracingEnv::RemoveFile(const std::string& fname) {
-  return base_->RemoveFile(fname);
-}
-
-Status IOTracingEnv::CreateDirIfMissing(const std::string& dirname) {
-  return base_->CreateDirIfMissing(dirname);
-}
-
-Status IOTracingEnv::RemoveDir(const std::string& dirname) {
-  return base_->RemoveDir(dirname);
-}
-
-Status IOTracingEnv::GetFileSize(const std::string& fname, uint64_t* size) {
-  return base_->GetFileSize(fname, size);
-}
-
-Status IOTracingEnv::RenameFile(const std::string& src,
-                                const std::string& target) {
-  return base_->RenameFile(src, target);
-}
-
-uint64_t IOTracingEnv::NowMicros() { return base_->NowMicros(); }
-
-void IOTracingEnv::SleepForMicroseconds(uint64_t micros) {
-  base_->SleepForMicroseconds(micros);
-}
-
-void IOTracingEnv::Schedule(std::function<void()> job, JobPriority pri) {
-  base_->Schedule(std::move(job), pri);
-}
-
-void IOTracingEnv::WaitForBackgroundWork() { base_->WaitForBackgroundWork(); }
-
-void IOTracingEnv::SetBackgroundThreads(int n, JobPriority pri) {
-  base_->SetBackgroundThreads(n, pri);
-}
-
-bool IOTracingEnv::is_deterministic() const {
-  return base_->is_deterministic();
-}
-
-void IOTracingEnv::ChargeCpu(uint64_t micros) { base_->ChargeCpu(micros); }
 
 }  // namespace elmo

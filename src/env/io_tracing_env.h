@@ -17,12 +17,10 @@
 
 namespace elmo {
 
-class IOTracingEnv : public Env {
+class IOTracingEnv : public EnvWrapper {
  public:
   explicit IOTracingEnv(Env* base);
   ~IOTracingEnv() override;
-
-  Env* base() const { return base_; }
 
   // Begin tracing into `path`. Fails with Busy if a trace is active.
   Status StartTrace(const std::string& path);
@@ -37,7 +35,7 @@ class IOTracingEnv : public Env {
   void Emit(IOOp op, const std::string& fname, uint64_t offset, uint64_t len,
             uint64_t start_us, uint64_t end_us);
 
-  // Env interface: file factories wrap, everything else forwards.
+  // File factories wrap; everything else forwards (EnvWrapper).
   Status NewSequentialFile(const std::string& fname,
                            std::unique_ptr<SequentialFile>* result) override;
   Status NewRandomAccessFile(
@@ -45,27 +43,8 @@ class IOTracingEnv : public Env {
       std::unique_ptr<RandomAccessFile>* result) override;
   Status NewWritableFile(const std::string& fname,
                          std::unique_ptr<WritableFile>* result) override;
-  bool FileExists(const std::string& fname) override;
-  Status GetChildren(const std::string& dir,
-                     std::vector<std::string>* result) override;
-  Status RemoveFile(const std::string& fname) override;
-  Status CreateDirIfMissing(const std::string& dirname) override;
-  Status RemoveDir(const std::string& dirname) override;
-  Status GetFileSize(const std::string& fname, uint64_t* size) override;
-  Status RenameFile(const std::string& src, const std::string& target) override;
-  Status GetFreeSpace(const std::string& path, uint64_t* bytes) override {
-    return base_->GetFreeSpace(path, bytes);
-  }
-  uint64_t NowMicros() override;
-  void SleepForMicroseconds(uint64_t micros) override;
-  void Schedule(std::function<void()> job, JobPriority pri) override;
-  void WaitForBackgroundWork() override;
-  void SetBackgroundThreads(int n, JobPriority pri) override;
-  bool is_deterministic() const override;
-  void ChargeCpu(uint64_t micros) override;
 
  private:
-  Env* const base_;
   std::atomic<bool> enabled_{false};
   std::mutex trace_mu_;
   std::shared_ptr<IOTracer> tracer_;

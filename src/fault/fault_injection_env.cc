@@ -120,7 +120,7 @@ class FaultWritableFile : public WritableFile {
 // FaultInjectionEnv.
 
 FaultInjectionEnv::FaultInjectionEnv(Env* base, uint64_t seed)
-    : base_(base), rng_(seed) {}
+    : EnvWrapper(base), rng_(seed) {}
 
 FaultInjectionEnv::~FaultInjectionEnv() = default;
 
@@ -148,17 +148,17 @@ Status FaultInjectionEnv::DropUnsyncedData(DropMode mode) {
         break;
       }
     }
-    if (!base_->FileExists(fname)) {
+    if (!base()->FileExists(fname)) {
       // Created but already unlinked underneath us; nothing to rewind.
       state.size = state.synced = 0;
       continue;
     }
     std::string contents;
-    Status s = base_->ReadFileToString(fname, &contents);
+    Status s = base()->ReadFileToString(fname, &contents);
     if (!s.ok()) return s;
     if (contents.size() > keep) contents.resize(keep);
     std::unique_ptr<WritableFile> f;
-    s = base_->NewWritableFile(fname, &f);  // truncates
+    s = base()->NewWritableFile(fname, &f);  // truncates
     if (!s.ok()) return s;
     if (!contents.empty()) s = f->Append(contents);
     if (s.ok()) s = f->Sync();
@@ -243,51 +243,42 @@ bool FaultInjectionEnv::IsTracked(const std::string& fname) const {
 
 Status FaultInjectionEnv::NewSequentialFile(
     const std::string& fname, std::unique_ptr<SequentialFile>* result) {
-  std::unique_ptr<SequentialFile> base;
-  Status s = base_->NewSequentialFile(fname, &base);
+  std::unique_ptr<SequentialFile> inner;
+  Status s = base()->NewSequentialFile(fname, &inner);
   if (!s.ok()) return s;
   *result = std::make_unique<FaultSequentialFile>(this, fname,
-                                                  std::move(base));
+                                                  std::move(inner));
   return Status::OK();
 }
 
 Status FaultInjectionEnv::NewRandomAccessFile(
     const std::string& fname, std::unique_ptr<RandomAccessFile>* result) {
-  std::unique_ptr<RandomAccessFile> base;
-  Status s = base_->NewRandomAccessFile(fname, &base);
+  std::unique_ptr<RandomAccessFile> inner;
+  Status s = base()->NewRandomAccessFile(fname, &inner);
   if (!s.ok()) return s;
   *result = std::make_unique<FaultRandomAccessFile>(this, fname,
-                                                    std::move(base));
+                                                    std::move(inner));
   return Status::OK();
 }
 
 Status FaultInjectionEnv::NewWritableFile(
     const std::string& fname, std::unique_ptr<WritableFile>* result) {
   if (!filesystem_active()) return Dead("create");
-  std::unique_ptr<WritableFile> base;
-  Status s = base_->NewWritableFile(fname, &base);
+  std::unique_ptr<WritableFile> inner;
+  Status s = base()->NewWritableFile(fname, &inner);
   if (!s.ok()) return s;
   {
     // Creation truncates: nothing of this name is durable any more.
     std::lock_guard<std::mutex> l(mu_);
     files_[fname] = FileState{};
   }
-  *result = std::make_unique<FaultWritableFile>(this, fname, std::move(base));
+  *result = std::make_unique<FaultWritableFile>(this, fname, std::move(inner));
   return Status::OK();
-}
-
-bool FaultInjectionEnv::FileExists(const std::string& fname) {
-  return base_->FileExists(fname);
-}
-
-Status FaultInjectionEnv::GetChildren(const std::string& dir,
-                                      std::vector<std::string>* result) {
-  return base_->GetChildren(dir, result);
 }
 
 Status FaultInjectionEnv::RemoveFile(const std::string& fname) {
   if (!filesystem_active()) return Dead("remove");
-  Status s = base_->RemoveFile(fname);
+  Status s = base()->RemoveFile(fname);
   if (s.ok()) {
     std::lock_guard<std::mutex> l(mu_);
     files_.erase(fname);
@@ -297,23 +288,18 @@ Status FaultInjectionEnv::RemoveFile(const std::string& fname) {
 
 Status FaultInjectionEnv::CreateDirIfMissing(const std::string& dirname) {
   if (!filesystem_active()) return Dead("mkdir");
-  return base_->CreateDirIfMissing(dirname);
+  return base()->CreateDirIfMissing(dirname);
 }
 
 Status FaultInjectionEnv::RemoveDir(const std::string& dirname) {
   if (!filesystem_active()) return Dead("rmdir");
-  return base_->RemoveDir(dirname);
-}
-
-Status FaultInjectionEnv::GetFileSize(const std::string& fname,
-                                      uint64_t* size) {
-  return base_->GetFileSize(fname, size);
+  return base()->RemoveDir(dirname);
 }
 
 Status FaultInjectionEnv::RenameFile(const std::string& src,
                                      const std::string& target) {
   if (!filesystem_active()) return Dead("rename");
-  Status s = base_->RenameFile(src, target);
+  Status s = base()->RenameFile(src, target);
   if (s.ok()) {
     // Durability travels with the bytes: the target inherits the
     // source's synced watermark (rename of a fully synced temp file is
@@ -329,30 +315,6 @@ Status FaultInjectionEnv::RenameFile(const std::string& src,
   }
   return s;
 }
-
-uint64_t FaultInjectionEnv::NowMicros() { return base_->NowMicros(); }
-
-void FaultInjectionEnv::SleepForMicroseconds(uint64_t micros) {
-  base_->SleepForMicroseconds(micros);
-}
-
-void FaultInjectionEnv::Schedule(std::function<void()> job, JobPriority pri) {
-  base_->Schedule(std::move(job), pri);
-}
-
-void FaultInjectionEnv::WaitForBackgroundWork() {
-  base_->WaitForBackgroundWork();
-}
-
-void FaultInjectionEnv::SetBackgroundThreads(int n, JobPriority pri) {
-  base_->SetBackgroundThreads(n, pri);
-}
-
-bool FaultInjectionEnv::is_deterministic() const {
-  return base_->is_deterministic();
-}
-
-void FaultInjectionEnv::ChargeCpu(uint64_t micros) { base_->ChargeCpu(micros); }
 
 // ---------------------------------------------------------------------
 // Bookkeeping + injection.

@@ -82,12 +82,10 @@ struct FaultCounters {
   uint64_t transient_expiries = 0;  // bursts that disarmed themselves
 };
 
-class FaultInjectionEnv : public Env {
+class FaultInjectionEnv : public EnvWrapper {
  public:
   explicit FaultInjectionEnv(Env* base, uint64_t seed = 42);
   ~FaultInjectionEnv() override;
-
-  Env* base() const { return base_; }
 
   // ---- crash simulation ----
   // While inactive, every mutating operation (append, sync, file
@@ -122,8 +120,9 @@ class FaultInjectionEnv : public Env {
   uint64_t TrackedSize(const std::string& fname) const;
   bool IsTracked(const std::string& fname) const;
 
-  // Env interface: file factories wrap, the rest forwards (mutating ops
-  // gated on filesystem_active()).
+  // Env interface: file factories wrap, mutating ops are gated on
+  // filesystem_active() and keep the durability bookkeeping; everything
+  // else forwards (EnvWrapper).
   Status NewSequentialFile(const std::string& fname,
                            std::unique_ptr<SequentialFile>* result) override;
   Status NewRandomAccessFile(
@@ -131,24 +130,10 @@ class FaultInjectionEnv : public Env {
       std::unique_ptr<RandomAccessFile>* result) override;
   Status NewWritableFile(const std::string& fname,
                          std::unique_ptr<WritableFile>* result) override;
-  bool FileExists(const std::string& fname) override;
-  Status GetChildren(const std::string& dir,
-                     std::vector<std::string>* result) override;
   Status RemoveFile(const std::string& fname) override;
   Status CreateDirIfMissing(const std::string& dirname) override;
   Status RemoveDir(const std::string& dirname) override;
-  Status GetFileSize(const std::string& fname, uint64_t* size) override;
   Status RenameFile(const std::string& src, const std::string& target) override;
-  Status GetFreeSpace(const std::string& path, uint64_t* bytes) override {
-    return base_->GetFreeSpace(path, bytes);
-  }
-  uint64_t NowMicros() override;
-  void SleepForMicroseconds(uint64_t micros) override;
-  void Schedule(std::function<void()> job, JobPriority pri) override;
-  void WaitForBackgroundWork() override;
-  void SetBackgroundThreads(int n, JobPriority pri) override;
-  bool is_deterministic() const override;
-  void ChargeCpu(uint64_t micros) override;
 
  private:
   friend class FaultSequentialFile;
@@ -178,7 +163,6 @@ class FaultInjectionEnv : public Env {
   Status InjectedError(const std::string& what,
                        const std::string& fname) const;  // holds mu_
 
-  Env* const base_;
   std::atomic<bool> active_{true};
   mutable std::mutex mu_;  // guards files_, cfg_, inject_, rng_, counters_
   std::map<std::string, FileState> files_;

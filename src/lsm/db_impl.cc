@@ -16,7 +16,6 @@
 #include "lsm/merger.h"
 #include "lsm/options_file.h"
 #include "lsm/options_schema.h"
-#include "lsm/perf_context.h"
 #include "monitor/prometheus.h"
 #include "table/table_builder.h"
 #include "util/logging.h"
@@ -578,7 +577,6 @@ Status DBImpl::Write(const WriteOptions& opts, WriteBatch* updates) {
   // are attributed to the user write path.
   IOContextScope io_ctx(IOContextTag::kUserWrite);
   const uint64_t t_start = env_->NowMicros();
-  PerfContext* perf = GetPerfContext();
   SpanScope span(env_, SpanKind::kWrite, span_tracer_.get());
 
   std::unique_lock<std::mutex> l(mu_);
@@ -598,7 +596,6 @@ Status DBImpl::Write(const WriteOptions& opts, WriteBatch* updates) {
       s = log_->AddRecord(updates->Contents());
     }
     stats_.Add(Ticker::kWalBytes, batch_bytes);
-    perf->write_wal_bytes += batch_bytes;
     wal_live_bytes_ += batch_bytes;
     if (!s.ok()) {
       // The write is not acked; classify the failure so later writes
@@ -615,7 +612,6 @@ Status DBImpl::Write(const WriteOptions& opts, WriteBatch* updates) {
         stats_.Add(Ticker::kWalSyncs, 1);
         stats_.Measure(HistogramType::kWalSyncMicros,
                        env_->NowMicros() - t_sync);
-        perf->write_wal_syncs++;
       } else if (options_.wal_bytes_per_sync > 0) {
         wal_bytes_since_sync_ += batch_bytes;
         if (wal_bytes_since_sync_ >= options_.wal_bytes_per_sync) {
@@ -627,7 +623,6 @@ Status DBImpl::Write(const WriteOptions& opts, WriteBatch* updates) {
           stats_.Add(Ticker::kWalSyncs, 1);
           stats_.Measure(HistogramType::kWalSyncMicros,
                          env_->NowMicros() - t_sync);
-          perf->write_wal_syncs++;
           wal_bytes_since_sync_ = 0;
         }
       }
@@ -657,9 +652,6 @@ Status DBImpl::Write(const WriteOptions& opts, WriteBatch* updates) {
 
   const uint64_t elapsed = env_->NowMicros() - t_start;
   stats_.Measure(HistogramType::kWriteMicros, elapsed);
-  perf->write_batches++;
-  perf->write_count += count;
-  perf->write_micros += elapsed;
 
   if (s.ok() && tracing_.load(std::memory_order_acquire)) {
     TraceWriteBatch(*updates, t_start);
@@ -748,7 +740,6 @@ Status DBImpl::MakeRoomForWrite(std::unique_lock<std::mutex>& l) {
       stall_span.Close();
       stats_.Add(Ticker::kWriteStallMicros, waited);
       stats_.Measure(HistogramType::kStallMicros, waited);
-      GetPerfContext()->write_stall_micros += waited;
       NotifyWriteStop(StallReason::kBackgroundError, waited);
       continue;
     }
@@ -765,7 +756,6 @@ Status DBImpl::MakeRoomForWrite(std::unique_lock<std::mutex>& l) {
       if (wait == 0) wait = 1000;  // leveldb's 1ms nudge
       stats_.Add(Ticker::kWriteStallMicros, wait);
       stats_.Measure(HistogramType::kStallMicros, wait);
-      GetPerfContext()->write_stall_micros += wait;
       UpdateStallCondition(StallCondition::kDelayed,
                            StallReason::kL0FileCount, wait);
       {
@@ -821,7 +811,6 @@ Status DBImpl::MakeRoomForWrite(std::unique_lock<std::mutex>& l) {
       stall_span.Close();
       stats_.Add(Ticker::kWriteStallMicros, waited);
       stats_.Measure(HistogramType::kStallMicros, waited);
-      GetPerfContext()->write_stall_micros += waited;
       NotifyWriteStop(StallReason::kMemtableLimit, waited);
       continue;
     }
@@ -853,7 +842,6 @@ Status DBImpl::MakeRoomForWrite(std::unique_lock<std::mutex>& l) {
       stall_span.Close();
       stats_.Add(Ticker::kWriteStallMicros, waited);
       stats_.Measure(HistogramType::kStallMicros, waited);
-      GetPerfContext()->write_stall_micros += waited;
       NotifyWriteStop(StallReason::kL0FileCount, waited);
       continue;
     }
@@ -1731,7 +1719,6 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
   value->clear();
   IOContextScope io_ctx(IOContextTag::kUserGet);
   const uint64_t t_start = env_->NowMicros();
-  PerfContext* perf = GetPerfContext();
   SpanScope span(env_, SpanKind::kGet, span_tracer_.get());
   std::shared_ptr<MemTable> mem;
   std::vector<std::shared_ptr<MemTable>> imms;
@@ -1765,15 +1752,11 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
 
   {
     SpanScope mem_span(env_, SpanKind::kMemtableProbe);
-    if (mem->Get(lkey, value, &s)) {
-      done = true;
-      if (s.ok()) perf->get_memtable_hit++;
-    }
+    done = mem->Get(lkey, value, &s);
     if (!done) {
       for (const auto& m : imms) {
         if (m->Get(lkey, value, &s)) {
           done = true;
-          if (s.ok()) perf->get_imm_hit++;
           break;
         }
       }
@@ -1786,7 +1769,6 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
     Version::GetStats vstats;
     s = version->Get(options, lkey, value, &vstats);
     files_probed = vstats.files_probed;
-    if (s.ok()) perf->get_sst_hit++;
     const auto cache_after = block_cache_->GetStats();
     sst_span.Annotate(SpanTag::kFilesProbed,
                       static_cast<uint64_t>(files_probed));
@@ -1811,14 +1793,6 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
 
   const uint64_t elapsed = env_->NowMicros() - t_start;
   stats_.Measure(HistogramType::kGetMicros, elapsed);
-  perf->get_count++;
-  perf->get_files_probed += files_probed;
-  perf->get_micros += elapsed;
-  if (s.ok()) {
-    perf->get_read_bytes += value->size();
-  } else {
-    perf->get_miss++;
-  }
 
   // Misses are traced too: a replayed read of a since-deleted key should
   // miss again.
@@ -2396,9 +2370,7 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     return true;
   }
   if (prop == "elmo.perf") {
-    *value = GetPerfContext()->ToString();
-    if (!value->empty()) *value += '\n';
-    *value += GlobalSpanAggregate()->ToString();
+    *value = GlobalSpanAggregate()->ToString();
     return true;
   }
   if (prop == "elmo.timeseries") {

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <string>
 
-#include "lsm/perf_context.h"
-
 namespace elmo::lsm {
 
 namespace {
@@ -50,43 +48,31 @@ class DBIter : public Iterator {
   enum Direction { kForward, kReverse };
 
   // Per-call accounting around each public Seek/Next/Prev: opens a
-  // kIterSeek/kIterNext root span when an Env was supplied and charges
-  // the PerfContext iterator fields (counts always; micros only with a
-  // clock) on the way out.
+  // kIterSeek/kIterNext root span when an Env was supplied and annotates
+  // it with the keys skipped and bytes surfaced on the way out.
   class OpScope {
    public:
-    OpScope(DBIter* it, SpanKind kind, uint64_t* count_field)
+    OpScope(DBIter* it, SpanKind kind)
         : it_(it),
-          start_us_(it->env_ != nullptr ? it->env_->NowMicros() : 0),
           skipped_before_(it->skipped_),
           handle_(it->env_ != nullptr
-                      ? GetSpanCollector()->OpenRoot(kind, start_us_,
-                                                     it->span_sink_)
-                      : SpanCollector::kNoSpan) {
-      (*count_field)++;
-    }
+                      ? GetSpanCollector()->OpenRoot(
+                            kind, it->env_->NowMicros(), it->span_sink_)
+                      : SpanCollector::kNoSpan) {}
     ~OpScope() {
-      PerfContext* perf = GetPerfContext();
-      const uint64_t skipped = it_->skipped_ - skipped_before_;
-      perf->iter_keys_skipped += skipped;
-      uint64_t bytes = 0;
-      if (it_->valid_) {
-        bytes = it_->key().size() + it_->value().size();
-        perf->iter_read_bytes += bytes;
-      }
       if (handle_ == SpanCollector::kNoSpan) return;
       SpanCollector* c = GetSpanCollector();
+      const uint64_t skipped = it_->skipped_ - skipped_before_;
       if (skipped > 0) c->Annotate(handle_, SpanTag::kKeysSkipped, skipped);
+      const uint64_t bytes =
+          it_->valid_ ? it_->key().size() + it_->value().size() : 0;
       if (bytes > 0) c->Annotate(handle_, SpanTag::kBytes, bytes);
       c->Annotate(handle_, SpanTag::kHit, it_->valid_ ? 1 : 0);
-      const uint64_t now = it_->env_->NowMicros();
-      perf->iter_micros += now - start_us_;
-      c->Close(handle_, now);
+      c->Close(handle_, it_->env_->NowMicros());
     }
 
    private:
     DBIter* const it_;
-    const uint64_t start_us_;
     const uint64_t skipped_before_;
     const size_t handle_;
   };
@@ -107,7 +93,7 @@ class DBIter : public Iterator {
   const Comparator* const user_comparator_;
   std::unique_ptr<Iterator> iter_;
   SequenceNumber const sequence_;
-  Env* const env_;            // null: no spans, no micros
+  Env* const env_;  // null: no spans
   SpanSink* const span_sink_;
   uint64_t skipped_ = 0;  // tombstones + shadowed versions stepped over
 
@@ -128,7 +114,7 @@ bool DBIter::ParseKey(ParsedInternalKey* ikey) {
 
 void DBIter::Next() {
   assert(valid_);
-  OpScope op(this, SpanKind::kIterNext, &GetPerfContext()->iter_next_count);
+  OpScope op(this, SpanKind::kIterNext);
 
   if (direction_ == kReverse) {
     direction_ = kForward;
@@ -193,7 +179,7 @@ void DBIter::FindNextUserEntry(bool skipping, std::string* skip) {
 
 void DBIter::Prev() {
   assert(valid_);
-  OpScope op(this, SpanKind::kIterNext, &GetPerfContext()->iter_next_count);
+  OpScope op(this, SpanKind::kIterNext);
 
   if (direction_ == kForward) {
     // iter_ points at the current entry. Back up until before all
@@ -259,7 +245,7 @@ void DBIter::FindPrevUserEntry() {
 }
 
 void DBIter::Seek(const Slice& target) {
-  OpScope op(this, SpanKind::kIterSeek, &GetPerfContext()->iter_seek_count);
+  OpScope op(this, SpanKind::kIterSeek);
   direction_ = kForward;
   ClearSavedValue();
   saved_key_.clear();
@@ -274,7 +260,7 @@ void DBIter::Seek(const Slice& target) {
 }
 
 void DBIter::SeekToFirst() {
-  OpScope op(this, SpanKind::kIterSeek, &GetPerfContext()->iter_seek_count);
+  OpScope op(this, SpanKind::kIterSeek);
   direction_ = kForward;
   ClearSavedValue();
   iter_->SeekToFirst();
@@ -286,7 +272,7 @@ void DBIter::SeekToFirst() {
 }
 
 void DBIter::SeekToLast() {
-  OpScope op(this, SpanKind::kIterSeek, &GetPerfContext()->iter_seek_count);
+  OpScope op(this, SpanKind::kIterSeek);
   direction_ = kReverse;
   ClearSavedValue();
   iter_->SeekToLast();

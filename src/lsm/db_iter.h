@@ -13,9 +13,8 @@
 namespace elmo::lsm {
 
 // `env` (engine clock) and `span_sink` are optional: when `env` is
-// non-null every Seek*/Next/Prev opens a kIterSeek/kIterNext root span
-// and feeds PerfContext iterator micros; `span_sink` (the DB's slow-op
-// tracer) receives the completed trees.
+// non-null every Seek*/Next/Prev opens a kIterSeek/kIterNext root span;
+// `span_sink` (the DB's slow-op tracer) receives the completed trees.
 std::unique_ptr<Iterator> NewDBIterator(
     const Comparator* user_comparator,
     std::unique_ptr<Iterator> internal_iter, SequenceNumber sequence,

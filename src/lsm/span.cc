@@ -4,17 +4,16 @@
 #include <cstring>
 
 #include "util/coding.h"
-#include "util/crc32c.h"
 
 namespace elmo::lsm {
 
 namespace {
 
-constexpr char kSpanMagic[8] = {'E', 'L', 'M', 'O', 'S', 'P', 'N', '1'};
-constexpr uint32_t kSpanVersion = 1;
-constexpr size_t kHeaderSize = sizeof(kSpanMagic) + 4 + 8;
 // fixed64 root start + fixed32 thread + flags byte; spans are variable.
 constexpr size_t kPayloadFixed = 8 + 4 + 1;
+
+constexpr RecordFormat kSpanFormat = {"ELMOSPN1", 1, "span trace",
+                                      kPayloadFixed + 2, 1u << 26};
 
 }  // namespace
 
@@ -247,7 +246,7 @@ SpanCollector* GetSpanCollector() {
 // ---------------------------------------------------------------------
 // Tracer
 
-SpanTracer::SpanTracer(Env* env) : env_(env) {}
+SpanTracer::SpanTracer(Env* env) : file_(env, kSpanFormat) {}
 
 SpanTracer::~SpanTracer() { Stop(nullptr); }
 
@@ -255,17 +254,9 @@ Status SpanTracer::Start(const std::string& path,
                          const SpanTraceOptions& options,
                          uint64_t base_ts_us) {
   std::lock_guard<std::mutex> l(mu_);
-  if (file_ != nullptr) return Status::Busy("a span trace is already active");
-  Status s = env_->NewWritableFile(path, &file_);
+  if (file_.is_open()) return Status::Busy("a span trace is already active");
+  Status s = file_.Open(path, base_ts_us);
   if (!s.ok()) return s;
-  std::string header(kSpanMagic, sizeof(kSpanMagic));
-  PutFixed32(&header, kSpanVersion);
-  PutFixed64(&header, base_ts_us);
-  s = file_->Append(Slice(header));
-  if (!s.ok()) {
-    file_.reset();
-    return s;
-  }
   options_ = options;
   std::memset(seen_, 0, sizeof(seen_));
   trees_written_ = 0;
@@ -277,23 +268,18 @@ Status SpanTracer::Start(const std::string& path,
 
 Status SpanTracer::Stop(uint64_t* trees_written) {
   std::lock_guard<std::mutex> l(mu_);
-  if (file_ == nullptr) {
+  if (!file_.is_open()) {
     return Status::InvalidArgument("no span trace active");
   }
   active_.store(false, std::memory_order_release);
-  Status s = file_->Flush();
-  if (s.ok()) s = file_->Sync();
-  Status c = file_->Close();
-  if (s.ok()) s = c;
-  file_.reset();
   if (trees_written != nullptr) *trees_written = trees_written_;
-  return s;
+  return file_.Close();
 }
 
 void SpanTracer::Consume(const SpanTree& tree) {
   if (!active_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> l(mu_);
-  if (file_ == nullptr) return;
+  if (!file_.is_open()) return;
 
   const uint8_t kind = static_cast<uint8_t>(tree.root().kind);
   seen_[kind]++;
@@ -325,14 +311,7 @@ void SpanTracer::Consume(const SpanTree& tree) {
       PutVarint64(&payload, value);
     }
   }
-
-  std::string frame;
-  frame.reserve(8 + payload.size());
-  PutFixed32(&frame,
-             crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
-  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-  frame += payload;
-  if (file_->Append(Slice(frame)).ok()) {
+  if (file_.Append(Slice(payload)).ok()) {
     trees_written_++;
     if (flags & kSpanTreeSlow) slow_trees_++;
     if (flags & kSpanTreeSampled) sampled_trees_++;
@@ -357,77 +336,16 @@ uint64_t SpanTracer::sampled_trees() const {
 // ---------------------------------------------------------------------
 // Reader
 
-SpanTraceReader::SpanTraceReader(Env* env) : env_(env) {}
+SpanTraceReader::SpanTraceReader(Env* env) : file_(env, kSpanFormat) {}
 
 Status SpanTraceReader::Open(const std::string& path) {
-  Status s = env_->NewSequentialFile(path, &file_);
-  if (!s.ok()) return s;
-  std::string header;
-  bool eof = false;
-  s = ReadFully(kHeaderSize, &header, &eof);
-  if (!s.ok()) return s;
-  if (eof || memcmp(header.data(), kSpanMagic, sizeof(kSpanMagic)) != 0) {
-    return Status::Corruption("not an elmo span trace file");
-  }
-  const uint32_t version =
-      DecodeFixed32(header.data() + sizeof(kSpanMagic));
-  if (version != kSpanVersion) {
-    return Status::Corruption("unsupported span trace version");
-  }
-  base_ts_us_ = DecodeFixed64(header.data() + sizeof(kSpanMagic) + 4);
-  return Status::OK();
-}
-
-Status SpanTraceReader::ReadFully(size_t n, std::string* out,
-                                  bool* clean_eof) {
-  out->clear();
-  *clean_eof = false;
-  std::string scratch(n, '\0');
-  size_t got = 0;
-  while (got < n) {
-    Slice chunk;
-    Status s = file_->Read(n - got, &chunk, &scratch[0] + got);
-    if (!s.ok()) return s;
-    if (chunk.empty()) {
-      if (got == 0) {
-        *clean_eof = true;
-        return Status::OK();
-      }
-      return Status::Corruption("truncated span trace record");
-    }
-    if (chunk.data() != scratch.data() + got) {
-      memcpy(&scratch[0] + got, chunk.data(), chunk.size());
-    }
-    got += chunk.size();
-  }
-  *out = std::move(scratch);
-  return Status::OK();
+  return file_.Open(path);
 }
 
 Status SpanTraceReader::Next(SpanTree* tree, bool* eof) {
-  *eof = false;
-  if (file_ == nullptr) {
-    return Status::IOError("span trace reader not open");
-  }
-
-  std::string frame_header;
-  Status s = ReadFully(8, &frame_header, eof);
-  if (!s.ok() || *eof) return s;
-  const uint32_t expected_crc =
-      crc32c::Unmask(DecodeFixed32(frame_header.data()));
-  const uint32_t len = DecodeFixed32(frame_header.data() + 4);
-  if (len < kPayloadFixed + 2 || len > (1u << 26)) {
-    return Status::Corruption("bad span trace record length");
-  }
-
   std::string payload;
-  bool payload_eof = false;
-  s = ReadFully(len, &payload, &payload_eof);
-  if (!s.ok()) return s;
-  if (payload_eof) return Status::Corruption("truncated span trace record");
-  if (crc32c::Value(payload.data(), payload.size()) != expected_crc) {
-    return Status::Corruption("span trace record checksum mismatch");
-  }
+  Status s = file_.Next(&payload, eof);
+  if (!s.ok() || *eof) return s;
 
   tree->spans.clear();
   const uint64_t root_start = DecodeFixed64(payload.data());

@@ -14,9 +14,7 @@
 // bench_kit/span_analyzer decomposes into p50/p99/p999 component shares
 // and exports as Chrome trace-event / Perfetto JSON.
 //
-// File layout (same framing convention as lsm/trace.h):
-//   header:  "ELMOSPN1" | fixed32 version (=1) | fixed64 base_ts_us
-//   record:  fixed32 masked_crc(payload) | fixed32 payload_len | payload
+// File layout: util/record_file.h framing, magic "ELMOSPN1", version 1.
 //   payload: fixed64 root_start_us | fixed32 thread_id | flags (1 byte)
 //            | varint32 span_count | span_count * span
 //   span:    kind (1 byte) | varint32 parent_plus_1
@@ -34,12 +32,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "env/env.h"
+#include "util/record_file.h"
 #include "util/status.h"
 
 namespace elmo::lsm {
@@ -271,10 +269,9 @@ class SpanTracer : public SpanSink {
   uint64_t sampled_trees() const;
 
  private:
-  Env* const env_;
   std::atomic<bool> active_{false};
   mutable std::mutex mu_;
-  std::unique_ptr<WritableFile> file_;
+  RecordFileWriter file_;
   SpanTraceOptions options_;
   uint64_t seen_[kMaxSpanKind] = {};  // per-root-kind ops observed
   uint64_t trees_written_ = 0;
@@ -295,14 +292,10 @@ class SpanTraceReader {
   // Corruption on a bad CRC, truncated record, or malformed payload.
   Status Next(SpanTree* tree, bool* eof);
 
-  uint64_t base_ts_us() const { return base_ts_us_; }
+  uint64_t base_ts_us() const { return file_.base_ts_us(); }
 
  private:
-  Status ReadFully(size_t n, std::string* out, bool* clean_eof);
-
-  Env* const env_;
-  std::unique_ptr<SequentialFile> file_;
-  uint64_t base_ts_us_ = 0;
+  RecordFileReader file_;
 };
 
 }  // namespace elmo::lsm

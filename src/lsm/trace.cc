@@ -1,36 +1,26 @@
 #include "lsm/trace.h"
 
-#include <cstring>
-
 #include "util/coding.h"
-#include "util/crc32c.h"
 
 namespace elmo::lsm {
 
 namespace {
 
-constexpr char kTraceMagic[8] = {'E', 'L', 'M', 'O', 'T', 'R', 'C', '1'};
-constexpr uint32_t kTraceVersion = 1;
-constexpr size_t kHeaderSize = sizeof(kTraceMagic) + 4 + 8;
 // fixed64 ts + fixed32 thread + op byte; key/value_size are variable.
 constexpr size_t kPayloadFixed = 1 + 8 + 4;
 
+constexpr RecordFormat kTraceFormat = {"ELMOTRC1", 1, "trace",
+                                       kPayloadFixed + 2, 1u << 26};
+
 }  // namespace
 
-TraceWriter::TraceWriter(Env* env) : env_(env) {}
+TraceWriter::TraceWriter(Env* env) : file_(env, kTraceFormat) {}
 
 TraceWriter::~TraceWriter() { Close(); }
 
 Status TraceWriter::Open(const std::string& path, uint64_t base_ts_us) {
   std::lock_guard<std::mutex> l(mu_);
-  Status s = env_->NewWritableFile(path, &file_);
-  if (!s.ok()) return s;
-  std::string header(kTraceMagic, sizeof(kTraceMagic));
-  PutFixed32(&header, kTraceVersion);
-  PutFixed64(&header, base_ts_us);
-  s = file_->Append(Slice(header));
-  if (!s.ok()) file_.reset();
-  return s;
+  return file_.Open(path, base_ts_us);
 }
 
 Status TraceWriter::AddRecord(TraceOp op, uint64_t ts_us, uint32_t thread_id,
@@ -44,29 +34,15 @@ Status TraceWriter::AddRecord(TraceOp op, uint64_t ts_us, uint32_t thread_id,
   payload.append(key.data(), key.size());
   PutVarint32(&payload, value_size);
 
-  std::string frame;
-  frame.reserve(8 + payload.size());
-  PutFixed32(&frame,
-             crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
-  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-  frame += payload;
-
   std::lock_guard<std::mutex> l(mu_);
-  if (file_ == nullptr) return Status::IOError("trace writer not open");
-  Status s = file_->Append(Slice(frame));
+  Status s = file_.Append(Slice(payload));
   if (s.ok()) records_++;
   return s;
 }
 
 Status TraceWriter::Close() {
   std::lock_guard<std::mutex> l(mu_);
-  if (file_ == nullptr) return Status::OK();
-  Status s = file_->Flush();
-  if (s.ok()) s = file_->Sync();
-  Status c = file_->Close();
-  if (s.ok()) s = c;
-  file_.reset();
-  return s;
+  return file_.Close();
 }
 
 uint64_t TraceWriter::records() const {
@@ -74,74 +50,14 @@ uint64_t TraceWriter::records() const {
   return records_;
 }
 
-TraceReader::TraceReader(Env* env) : env_(env) {}
+TraceReader::TraceReader(Env* env) : file_(env, kTraceFormat) {}
 
-Status TraceReader::Open(const std::string& path) {
-  Status s = env_->NewSequentialFile(path, &file_);
-  if (!s.ok()) return s;
-  std::string header;
-  bool eof = false;
-  s = ReadFully(kHeaderSize, &header, &eof);
-  if (!s.ok()) return s;
-  if (eof || memcmp(header.data(), kTraceMagic, sizeof(kTraceMagic)) != 0) {
-    return Status::Corruption("not an elmo trace file");
-  }
-  const uint32_t version = DecodeFixed32(header.data() + sizeof(kTraceMagic));
-  if (version != kTraceVersion) {
-    return Status::Corruption("unsupported trace version");
-  }
-  base_ts_us_ = DecodeFixed64(header.data() + sizeof(kTraceMagic) + 4);
-  return Status::OK();
-}
-
-Status TraceReader::ReadFully(size_t n, std::string* out, bool* clean_eof) {
-  out->clear();
-  *clean_eof = false;
-  std::string scratch(n, '\0');
-  size_t got = 0;
-  while (got < n) {
-    Slice chunk;
-    Status s = file_->Read(n - got, &chunk, &scratch[0] + got);
-    if (!s.ok()) return s;
-    if (chunk.empty()) {
-      if (got == 0) {
-        *clean_eof = true;
-        return Status::OK();
-      }
-      return Status::Corruption("truncated trace record");
-    }
-    // The file may return data in its own buffer; normalize into ours.
-    if (chunk.data() != scratch.data() + got) {
-      memcpy(&scratch[0] + got, chunk.data(), chunk.size());
-    }
-    got += chunk.size();
-  }
-  *out = std::move(scratch);
-  return Status::OK();
-}
+Status TraceReader::Open(const std::string& path) { return file_.Open(path); }
 
 Status TraceReader::Next(TraceRecord* rec, bool* eof) {
-  *eof = false;
-  if (file_ == nullptr) return Status::IOError("trace reader not open");
-
-  std::string frame_header;
-  Status s = ReadFully(8, &frame_header, eof);
-  if (!s.ok() || *eof) return s;
-  const uint32_t expected_crc =
-      crc32c::Unmask(DecodeFixed32(frame_header.data()));
-  const uint32_t len = DecodeFixed32(frame_header.data() + 4);
-  if (len < kPayloadFixed + 2 || len > (1u << 26)) {
-    return Status::Corruption("bad trace record length");
-  }
-
   std::string payload;
-  bool payload_eof = false;
-  s = ReadFully(len, &payload, &payload_eof);
-  if (!s.ok()) return s;
-  if (payload_eof) return Status::Corruption("truncated trace record");
-  if (crc32c::Value(payload.data(), payload.size()) != expected_crc) {
-    return Status::Corruption("trace record checksum mismatch");
-  }
+  Status s = file_.Next(&payload, eof);
+  if (!s.ok() || *eof) return s;
 
   const uint8_t op = static_cast<uint8_t>(payload[0]);
   if (op < static_cast<uint8_t>(TraceOp::kPut) ||

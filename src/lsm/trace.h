@@ -6,9 +6,7 @@
 // bench_kit::ReplayTrace re-executes a trace against a fresh DB, either
 // as fast as possible or with the recorded inter-op gaps preserved.
 //
-// File layout:
-//   header:  "ELMOTRC1" | fixed32 version (=1) | fixed64 base_ts_us
-//   record:  fixed32 masked_crc(payload) | fixed32 payload_len | payload
+// File layout: util/record_file.h framing, magic "ELMOTRC1", version 1.
 //   payload: op (1 byte) | fixed64 ts_us | fixed32 thread_id
 //            | varint32 key_len | key bytes | varint32 value_size
 // A torn or bit-flipped record fails its CRC and surfaces as
@@ -16,11 +14,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 
 #include "env/env.h"
+#include "util/record_file.h"
 #include "util/status.h"
 
 namespace elmo::lsm {
@@ -60,9 +58,8 @@ class TraceWriter {
   uint64_t records() const;
 
  private:
-  Env* const env_;
   mutable std::mutex mu_;
-  std::unique_ptr<WritableFile> file_;
+  RecordFileWriter file_;
   uint64_t records_ = 0;
 };
 
@@ -80,14 +77,10 @@ class TraceReader {
   // of file; returns Corruption on a bad CRC or truncated record.
   Status Next(TraceRecord* rec, bool* eof);
 
-  uint64_t base_ts_us() const { return base_ts_us_; }
+  uint64_t base_ts_us() const { return file_.base_ts_us(); }
 
  private:
-  Status ReadFully(size_t n, std::string* out, bool* clean_eof);
-
-  Env* const env_;
-  std::unique_ptr<SequentialFile> file_;
-  uint64_t base_ts_us_ = 0;
+  RecordFileReader file_;
 };
 
 }  // namespace elmo::lsm

@@ -16,7 +16,7 @@
 #include "env/sim_env.h"
 #include "fault/kill_point.h"
 #include "lsm/db.h"
-#include "lsm/perf_context.h"
+#include "lsm/span.h"
 #include "stress_kit/expected_state.h"
 #include "util/json.h"
 #include "util/random.h"
@@ -195,11 +195,10 @@ class StressDriver {
   }
 
   Status Setup() {
-    // The report embeds "elmo.perf" (thread-local PerfContext plus the
-    // process-wide span aggregate). Zero both so same-seed campaigns in
-    // one process produce byte-identical reports. Safe here: no other
-    // DB is open while a stress campaign runs.
-    lsm::GetPerfContext()->Reset();
+    // The report embeds "elmo.perf" (the process-wide span aggregate).
+    // Zero it so same-seed campaigns in one process produce
+    // byte-identical reports. Safe here: no other DB is open while a
+    // stress campaign runs.
     lsm::GlobalSpanAggregate()->Reset();
     if (cfg_.env_kind == "sim") {
       sim_env_ = std::make_unique<SimEnv>(

@@ -100,8 +100,7 @@ struct StressReport {
   uint64_t schedule_hash = 0;  // op/fault/verdict fingerprint (stable
                                // for equal seeds when threads==1 + sim)
   FaultCounters fault_counters;
-  // Final "elmo.perf" property dump: process-aggregated PerfContext
-  // counters plus the per-op-kind span aggregate.
+  // Final "elmo.perf" property dump: the per-op-kind span aggregate.
   std::string perf_breakdown;
   std::string ToJson() const;
 };

@@ -1,19 +1,16 @@
 #include "table/block_cache_tracer.h"
 
-#include <cstring>
-
 #include "util/coding.h"
-#include "util/crc32c.h"
 
 namespace elmo {
 
 namespace {
 
-constexpr char kBctMagic[8] = {'E', 'L', 'M', 'O', 'B', 'C', 'T', '1'};
-constexpr uint32_t kBctVersion = 1;
-constexpr size_t kHeaderSize = sizeof(kBctMagic) + 4 + 8;
 // ts + type + hit + fill + level + file_number + offset + charge.
 constexpr size_t kPayloadSize = 8 + 1 + 1 + 1 + 1 + 8 + 8 + 8;
+
+constexpr RecordFormat kBctFormat = {"ELMOBCT1", 1, "block cache trace",
+                                     kPayloadSize, kPayloadSize};
 
 }  // namespace
 
@@ -29,22 +26,16 @@ const char* TraceBlockTypeName(TraceBlockType type) {
   return "unknown";
 }
 
-BlockCacheTracer::BlockCacheTracer(Env* env) : env_(env) {}
+BlockCacheTracer::BlockCacheTracer(Env* env)
+    : env_(env), file_(env, kBctFormat) {}
 
 BlockCacheTracer::~BlockCacheTracer() { Stop(nullptr); }
 
 Status BlockCacheTracer::Start(const std::string& path) {
   std::lock_guard<std::mutex> l(mu_);
-  if (file_ != nullptr) return Status::Busy("block cache trace already active");
-  std::unique_ptr<WritableFile> file;
-  Status s = env_->NewWritableFile(path, &file);
+  if (file_.is_open()) return Status::Busy("block cache trace already active");
+  Status s = file_.Open(path, env_->NowMicros());
   if (!s.ok()) return s;
-  std::string header(kBctMagic, sizeof(kBctMagic));
-  PutFixed32(&header, kBctVersion);
-  PutFixed64(&header, env_->NowMicros());
-  s = file->Append(Slice(header));
-  if (!s.ok()) return s;
-  file_ = std::move(file);
   records_ = 0;
   enabled_.store(true, std::memory_order_release);
   return Status::OK();
@@ -52,15 +43,12 @@ Status BlockCacheTracer::Start(const std::string& path) {
 
 Status BlockCacheTracer::Stop(uint64_t* records) {
   std::lock_guard<std::mutex> l(mu_);
-  if (file_ == nullptr) return Status::InvalidArgument("no block cache trace");
+  if (!file_.is_open()) {
+    return Status::InvalidArgument("no block cache trace");
+  }
   enabled_.store(false, std::memory_order_release);
   if (records != nullptr) *records = records_;
-  Status s = file_->Flush();
-  if (s.ok()) s = file_->Sync();
-  Status c = file_->Close();
-  if (s.ok()) s = c;
-  file_.reset();
-  return s;
+  return file_.Close();
 }
 
 void BlockCacheTracer::Record(TraceBlockType type, bool hit, bool fill,
@@ -80,90 +68,23 @@ void BlockCacheTracer::Record(TraceBlockType type, bool hit, bool fill,
   PutFixed64(&payload, offset);
   PutFixed64(&payload, charge);
 
-  std::string frame;
-  frame.reserve(8 + payload.size());
-  PutFixed32(&frame,
-             crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
-  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-  frame += payload;
-
   std::lock_guard<std::mutex> l(mu_);
-  if (file_ == nullptr) return;  // raced with Stop(); drop the record
-  if (file_->Append(Slice(frame)).ok()) records_++;
+  // A record that raced with Stop() finds the writer closed and is
+  // dropped, as is one whose append fails.
+  if (file_.Append(Slice(payload)).ok()) records_++;
 }
 
-BlockCacheTraceReader::BlockCacheTraceReader(Env* env) : env_(env) {}
+BlockCacheTraceReader::BlockCacheTraceReader(Env* env)
+    : file_(env, kBctFormat) {}
 
 Status BlockCacheTraceReader::Open(const std::string& path) {
-  Status s = env_->NewSequentialFile(path, &file_);
-  if (!s.ok()) return s;
-  std::string header;
-  bool eof = false;
-  s = ReadFully(kHeaderSize, &header, &eof);
-  if (!s.ok()) return s;
-  if (eof || memcmp(header.data(), kBctMagic, sizeof(kBctMagic)) != 0) {
-    return Status::Corruption("not an elmo block cache trace file");
-  }
-  const uint32_t version = DecodeFixed32(header.data() + sizeof(kBctMagic));
-  if (version != kBctVersion) {
-    return Status::Corruption("unsupported block cache trace version");
-  }
-  base_ts_us_ = DecodeFixed64(header.data() + sizeof(kBctMagic) + 4);
-  return Status::OK();
-}
-
-Status BlockCacheTraceReader::ReadFully(size_t n, std::string* out,
-                                        bool* clean_eof) {
-  out->clear();
-  *clean_eof = false;
-  std::string scratch(n, '\0');
-  size_t got = 0;
-  while (got < n) {
-    Slice chunk;
-    Status s = file_->Read(n - got, &chunk, &scratch[0] + got);
-    if (!s.ok()) return s;
-    if (chunk.empty()) {
-      if (got == 0) {
-        *clean_eof = true;
-        return Status::OK();
-      }
-      return Status::Corruption("truncated block cache trace record");
-    }
-    if (chunk.data() != scratch.data() + got) {
-      memcpy(&scratch[0] + got, chunk.data(), chunk.size());
-    }
-    got += chunk.size();
-  }
-  *out = std::move(scratch);
-  return Status::OK();
+  return file_.Open(path);
 }
 
 Status BlockCacheTraceReader::Next(BlockCacheAccessRecord* rec, bool* eof) {
-  *eof = false;
-  if (file_ == nullptr) {
-    return Status::IOError("block cache trace reader not open");
-  }
-
-  std::string frame_header;
-  Status s = ReadFully(8, &frame_header, eof);
-  if (!s.ok() || *eof) return s;
-  const uint32_t expected_crc =
-      crc32c::Unmask(DecodeFixed32(frame_header.data()));
-  const uint32_t len = DecodeFixed32(frame_header.data() + 4);
-  if (len != kPayloadSize) {
-    return Status::Corruption("bad block cache trace record length");
-  }
-
   std::string payload;
-  bool payload_eof = false;
-  s = ReadFully(len, &payload, &payload_eof);
-  if (!s.ok()) return s;
-  if (payload_eof) {
-    return Status::Corruption("truncated block cache trace record");
-  }
-  if (crc32c::Value(payload.data(), payload.size()) != expected_crc) {
-    return Status::Corruption("block cache trace record checksum mismatch");
-  }
+  Status s = file_.Next(&payload, eof);
+  if (!s.ok() || *eof) return s;
 
   rec->ts_us = DecodeFixed64(payload.data());
   const uint8_t type = static_cast<uint8_t>(payload[8]);

@@ -6,9 +6,7 @@
 // offline cache simulator (bench_kit/cache_sim.h), which replays it
 // against ghost LRUs at other capacities to produce a miss-ratio curve.
 //
-// File layout (CRC framing identical to env/io_trace.h):
-//   header:  "ELMOBCT1" | fixed32 version (=1) | fixed64 base_ts_us
-//   record:  fixed32 masked_crc(payload) | fixed32 payload_len | payload
+// File layout: util/record_file.h framing, magic "ELMOBCT1", version 1.
 //   payload: fixed64 ts_us | type (1) | hit (1) | fill (1) | level (1,
 //            int8, -1 = unknown) | fixed64 file_number | fixed64 offset
 //            | fixed64 charge
@@ -21,11 +19,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 
 #include "env/env.h"
+#include "util/record_file.h"
 #include "util/status.h"
 
 namespace elmo {
@@ -73,7 +71,7 @@ class BlockCacheTracer {
   Env* const env_;
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
-  std::unique_ptr<WritableFile> file_;
+  RecordFileWriter file_;
   uint64_t records_ = 0;
 };
 
@@ -89,14 +87,10 @@ class BlockCacheTraceReader {
   // CRC or truncated record.
   Status Next(BlockCacheAccessRecord* rec, bool* eof);
 
-  uint64_t base_ts_us() const { return base_ts_us_; }
+  uint64_t base_ts_us() const { return file_.base_ts_us(); }
 
  private:
-  Status ReadFully(size_t n, std::string* out, bool* clean_eof);
-
-  Env* const env_;
-  std::unique_ptr<SequentialFile> file_;
-  uint64_t base_ts_us_ = 0;
+  RecordFileReader file_;
 };
 
 }  // namespace elmo

@@ -1,5 +1,5 @@
-// Fixed-size worker pool used by PosixEnv for background flushes and
-// compactions. Priorities mirror RocksDB's HIGH (flush) / LOW
+// Resizable worker pool used by PosixEnv and MemEnv for background
+// flushes and compactions. Priorities mirror RocksDB's HIGH (flush) / LOW
 // (compaction) pools.
 #pragma once
 
@@ -25,7 +25,8 @@ class ThreadPool {
   // Block until the queue is empty and all workers are idle.
   void WaitIdle();
 
-  // Change pool size; takes effect as workers pick up work.
+  // Change pool size (at least 1). Growing starts workers at once;
+  // shrinking retires surplus workers as they finish their current job.
   void SetBackgroundThreads(int num_threads);
 
   int QueueLen() const;
@@ -37,7 +38,9 @@ class ThreadPool {
   std::condition_variable work_cv_;
   std::condition_variable idle_cv_;
   std::deque<std::function<void()>> queue_;
-  std::vector<std::thread> threads_;
+  std::vector<std::thread> threads_;     // every worker not yet joined
+  std::vector<std::thread::id> exited_;  // retired, awaiting join
+  int live_;                             // workers still in WorkerLoop
   int target_threads_;
   int busy_ = 0;
   bool shutting_down_ = false;

@@ -11,7 +11,6 @@
 #include "env/mem_env.h"
 #include "env/sim_env.h"
 #include "lsm/db.h"
-#include "lsm/perf_context.h"
 #include "lsm/span.h"
 
 namespace elmo::lsm {
@@ -344,10 +343,12 @@ TEST(SpanDbTest, PerfPropertyReportsSpansAndIteratorCounters) {
   Options o;
   o.env = env.get();
   o.create_if_missing = true;
+  // The aggregate is process-wide; start this test's counts from zero
+  // (no DB is open yet, so no sampler baseline goes stale).
+  GlobalSpanAggregate()->Reset();
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(o, "/db", &db).ok());
 
-  GetPerfContext()->Reset();
   const std::string value(64, 'v');
   for (int i = 0; i < 100; i++) {
     char key[32];
@@ -363,16 +364,18 @@ TEST(SpanDbTest, PerfPropertyReportsSpansAndIteratorCounters) {
   }
   it.reset();
 
-  const PerfContext* perf = GetPerfContext();
-  EXPECT_EQ(perf->iter_seek_count, 1u);
-  EXPECT_EQ(perf->iter_next_count, 10u);
-  EXPECT_GT(perf->iter_read_bytes, 0u);
+  const SpanAggregate::Snapshot snap = GlobalSpanAggregate()->GetSnapshot();
+  EXPECT_EQ(snap.Get(SpanKind::kIterSeek).count, 1u);
+  EXPECT_EQ(snap.Get(SpanKind::kIterNext).count, 10u);
+  EXPECT_GT(snap.Get(SpanKind::kIterNext).bytes, 0u);
 
   std::string prop;
   ASSERT_TRUE(db->GetProperty("elmo.perf", &prop));
-  EXPECT_NE(prop.find("iter_seek_count=1"), std::string::npos) << prop;
+  EXPECT_NE(prop.find("span op iter_seek: count=1 "), std::string::npos)
+      << prop;
   EXPECT_NE(prop.find("span op write:"), std::string::npos) << prop;
-  EXPECT_NE(prop.find("span op iter_next:"), std::string::npos) << prop;
+  EXPECT_NE(prop.find("span op iter_next: count=10 "), std::string::npos)
+      << prop;
   EXPECT_NE(prop.find("span phase memtable_insert:"), std::string::npos)
       << prop;
   db.reset();

@@ -1,7 +1,11 @@
 // Arena, Random, RateLimiter, ThreadPool, Slice, Status, logging.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 
 #include "util/arena.h"
@@ -138,6 +142,38 @@ TEST(ThreadPool, GrowsOnDemand) {
   }
   pool.WaitIdle();
   EXPECT_EQ(50, count.load());
+}
+
+// Submits `jobs` jobs that each wait, up to `deadline`, for a second job
+// to run beside them; returns the most jobs ever seen running at once.
+int MaxConcurrentJobs(ThreadPool* pool, int jobs,
+                      std::chrono::milliseconds deadline) {
+  std::mutex mu;
+  std::condition_variable cv;
+  int running = 0;
+  int max_running = 0;
+  for (int i = 0; i < jobs; i++) {
+    pool->Submit([&] {
+      std::unique_lock<std::mutex> l(mu);
+      running++;
+      max_running = std::max(max_running, running);
+      cv.notify_all();
+      cv.wait_for(l, deadline, [&] { return max_running > 1; });
+      running--;
+    });
+  }
+  pool->WaitIdle();
+  return max_running;
+}
+
+TEST(ThreadPool, ShrinksThenGrowsAgain) {
+  ThreadPool pool(4);
+  pool.SetBackgroundThreads(1);
+  // One worker left: no job ever finds a partner before its deadline.
+  EXPECT_EQ(1, MaxConcurrentJobs(&pool, 3, std::chrono::milliseconds(200)));
+  // Growing counts live workers, not every thread the pool ever started.
+  pool.SetBackgroundThreads(2);
+  EXPECT_EQ(2, MaxConcurrentJobs(&pool, 2, std::chrono::seconds(30)));
 }
 
 TEST(Slice, Basics) {
