@@ -17,6 +17,7 @@
 #include "lsm/options_file.h"
 #include "lsm/options_schema.h"
 #include "monitor/prometheus.h"
+#include "table/table.h"
 #include "table/table_builder.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -1765,11 +1766,13 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
   }
   if (!done) {
     SpanScope sst_span(env_, SpanKind::kSstProbe);
-    const auto cache_before = block_cache_->GetStats();
+    // This thread's own lookups: other threads' Gets and compactions
+    // share the cache, so its global counters would overcount.
+    const TableCacheCounts cache_before = ThreadTableCacheCounts();
     Version::GetStats vstats;
     s = version->Get(options, lkey, value, &vstats);
     files_probed = vstats.files_probed;
-    const auto cache_after = block_cache_->GetStats();
+    const TableCacheCounts cache_after = ThreadTableCacheCounts();
     sst_span.Annotate(SpanTag::kFilesProbed,
                       static_cast<uint64_t>(files_probed));
     if (vstats.hit_level >= 0) {

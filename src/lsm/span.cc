@@ -165,49 +165,42 @@ uint32_t SpanThreadId() {
 // ---------------------------------------------------------------------
 // Collector
 
-size_t SpanCollector::OpenRoot(SpanKind kind, uint64_t now_us,
-                               SpanSink* sink) {
-  const size_t idx = spans_.size();
-  Rec rec;
-  rec.kind = kind;
-  rec.parent = -1;
+size_t SpanCollector::Push(SpanKind kind, int32_t parent, uint64_t now_us,
+                           SpanSink* sink) {
+  if (live_ == spans_.size()) spans_.emplace_back();
+  Rec& rec = spans_[live_];
   rec.sink = sink;
   rec.node.kind = kind;
-  rec.node.parent = -1;
+  rec.node.parent = parent;
   rec.node.start_us = now_us;
-  spans_.push_back(std::move(rec));
-  stack_.push_back(idx);
-  return idx;
+  rec.node.duration_us = 0;
+  rec.node.annotations.clear();  // keeps its capacity for this slot
+  stack_.push_back(live_);
+  return live_++;
+}
+
+size_t SpanCollector::OpenRoot(SpanKind kind, uint64_t now_us,
+                               SpanSink* sink) {
+  return Push(kind, -1, now_us, sink);
 }
 
 size_t SpanCollector::OpenChild(SpanKind kind, uint64_t now_us) {
   if (stack_.empty()) return kNoSpan;  // orphan (recovery etc.): no-op
-  const size_t idx = spans_.size();
-  Rec rec;
-  rec.kind = kind;
-  rec.parent = static_cast<int32_t>(stack_.back());
-  rec.sink = nullptr;
-  rec.node.kind = kind;
-  rec.node.start_us = now_us;
-  spans_.push_back(std::move(rec));
-  stack_.push_back(idx);
-  return idx;
+  return Push(kind, static_cast<int32_t>(stack_.back()), now_us, nullptr);
 }
 
 void SpanCollector::Annotate(size_t handle, SpanTag tag, uint64_t value) {
-  if (handle == kNoSpan || handle >= spans_.size()) return;
+  if (handle == kNoSpan || handle >= live_) return;
   spans_[handle].node.annotations.emplace_back(tag, value);
 }
 
 void SpanCollector::Close(size_t handle, uint64_t now_us) {
-  if (handle == kNoSpan || handle >= spans_.size()) return;
+  if (handle == kNoSpan || handle >= live_) return;
   // Unwind to the handle: anything still open above it (a child whose
   // scope was escaped by an early return) closes at the same instant.
   while (!stack_.empty() && stack_.back() != handle) {
-    Rec& r = spans_[stack_.back()];
-    r.node.duration_us = now_us >= r.node.start_us
-                             ? now_us - r.node.start_us
-                             : 0;
+    SpanNode& n = spans_[stack_.back()].node;
+    n.duration_us = now_us >= n.start_us ? now_us - n.start_us : 0;
     stack_.pop_back();
   }
   if (stack_.empty()) return;  // handle was not open; drop silently
@@ -216,26 +209,42 @@ void SpanCollector::Close(size_t handle, uint64_t now_us) {
   Rec& rec = spans_[handle];
   rec.node.duration_us =
       now_us >= rec.node.start_us ? now_us - rec.node.start_us : 0;
-  if (rec.parent != -1) return;  // child: stays buffered until root close
+  if (rec.node.parent != -1) return;  // child: buffered until root close
 
   // Root close. Every span at index >= handle belongs to this tree: the
   // thread is single-streamed, so a suspended outer tree cannot have
-  // interleaved spans after this root opened.
-  SpanTree tree;
-  tree.thread_id = SpanThreadId();
-  tree.spans.reserve(spans_.size() - handle);
-  for (size_t i = handle; i < spans_.size(); i++) {
-    SpanNode node = std::move(spans_[i].node);
-    node.parent = spans_[i].parent == -1
-                      ? -1
-                      : static_cast<int32_t>(spans_[i].parent - handle);
-    tree.spans.push_back(std::move(node));
+  // interleaved spans after this root opened. The records stay in
+  // spans_ for reuse; tree_ is rebuilt in place.
+  const size_t n = live_ - handle;
+  SizeTree(n);
+  for (size_t i = 0; i < n; i++) {
+    // Copy-assignment reuses the target's annotation buffer.
+    SpanNode& node = tree_.spans[i];
+    node = spans_[handle + i].node;
+    if (node.parent != -1) node.parent -= static_cast<int32_t>(handle);
   }
+  tree_.thread_id = SpanThreadId();
   SpanSink* sink = rec.sink;
-  spans_.resize(handle);
+  live_ = handle;
 
-  GlobalSpanAggregate()->Fold(tree);
-  if (sink != nullptr) sink->Consume(tree);
+  GlobalSpanAggregate()->Fold(tree_);
+  if (sink != nullptr) sink->Consume(tree_);
+}
+
+void SpanCollector::SizeTree(size_t n) {
+  std::vector<SpanNode>& spans = tree_.spans;
+  while (spans.size() > n) {
+    spare_.push_back(std::move(spans.back()));
+    spans.pop_back();
+  }
+  while (spans.size() < n) {
+    if (spare_.empty()) {
+      spans.emplace_back();
+    } else {
+      spans.push_back(std::move(spare_.back()));
+      spare_.pop_back();
+    }
+  }
 }
 
 SpanCollector* GetSpanCollector() {

@@ -3,10 +3,16 @@
 // the engine opens child spans around its interesting phases (WAL
 // append/sync, memtable insert/probe, SST probe, stall waits, table
 // build, manifest apply) and attaches typed annotations (bytes, files
-// probed, cache hit/miss deltas, stall reason, keys skipped).
+// probed, cache hit/miss deltas, stall reason, keys skipped). A Get's
+// sst_probe cache_hit/cache_miss are the calling thread's own block-cache
+// lookups (table/table.h ThreadTableCacheCounts), so concurrent Gets and
+// compactions on other threads do not leak into them.
 //
 // Collection is always on and feeds a process-wide SpanAggregate (the
-// "elmo.perf" property and the StatsSampler span columns). When a span
+// "elmo.perf" property and the StatsSampler span columns). It does not
+// allocate once warmed up: each thread's collector keeps its span
+// records and the tree it delivers, and reuses their storage, so only a
+// tree larger (or more annotated) than any before it allocates. When a span
 // trace is active (DB::StartSpanTrace), completed root trees that are
 // slow (root duration >= slow_op_threshold_us) or deterministically
 // sampled (every sample_every-th op of a kind) are additionally
@@ -174,7 +180,9 @@ uint32_t SpanThreadId();
 // Thread-local stack of open spans. Handles are indices into an
 // internal vector; kNoSpan marks a no-op handle (orphan child with no
 // open root). Roots may nest (inline background work): the inner tree
-// is extracted and delivered on its own close.
+// is extracted and delivered on its own close. The delivered SpanTree
+// is the collector's own and is rebuilt by the next root close, so a
+// sink copies what it keeps and opens no span while consuming.
 class SpanCollector {
  public:
   static constexpr size_t kNoSpan = static_cast<size_t>(-1);
@@ -191,13 +199,23 @@ class SpanCollector {
 
  private:
   struct Rec {
-    SpanKind kind;
-    int32_t parent;  // absolute index into spans_; -1 for roots
     SpanSink* sink;  // roots only
-    SpanNode node;
+    SpanNode node;   // node.parent: absolute index into spans_; -1 = root
   };
+
+  size_t Push(SpanKind kind, int32_t parent, uint64_t now_us,
+              SpanSink* sink);
+  // Resizes tree_.spans to n nodes without freeing any: surplus nodes
+  // wait in spare_ (annotation buffers intact) for a larger tree.
+  void SizeTree(size_t n);
+
+  // spans_[0, live_) are open or buffered spans. Records past live_ are
+  // kept, with their annotation capacity, for the next spans opened.
   std::vector<Rec> spans_;
+  size_t live_ = 0;
   std::vector<size_t> stack_;
+  SpanTree tree_;  // the tree being delivered, rebuilt in place
+  std::vector<SpanNode> spare_;
 };
 
 // The calling thread's collector. Never null.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <string_view>
 
 namespace elmo {
 
@@ -16,6 +18,16 @@ uint32_t HashSlice(const Slice& s) {
   }
   return h;
 }
+
+// Transparent hash: with std::equal_to<> it lets map_ be probed with a
+// string_view, so a lookup does not copy its (16-byte, past the SSO
+// limit) key onto the heap.
+struct KeyHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view k) const {
+    return std::hash<std::string_view>{}(k);
+  }
+};
 
 class LruShard {
  public:
@@ -43,7 +55,7 @@ class LruShard {
 
   std::shared_ptr<void> Lookup(const Slice& key) {
     std::lock_guard<std::mutex> l(mu_);
-    auto it = map_.find(key.ToString());
+    auto it = map_.find(key.view());
     if (it == map_.end()) {
       stats_.misses++;
       return nullptr;
@@ -61,7 +73,7 @@ class LruShard {
 
   void Erase(const Slice& key) {
     std::lock_guard<std::mutex> l(mu_);
-    auto it = map_.find(key.ToString());
+    auto it = map_.find(key.view());
     if (it == map_.end()) return;
     usage_ -= it->second->charge;
     lru_.erase(it->second);
@@ -98,7 +110,9 @@ class LruShard {
   size_t usage_ = 0;
   Cache::Stats stats_;  // per-shard, so lookups never cross-serialize
   std::list<Entry> lru_;
-  std::unordered_map<std::string, std::list<Entry>::iterator> map_;
+  std::unordered_map<std::string, std::list<Entry>::iterator, KeyHash,
+                     std::equal_to<>>
+      map_;
 };
 
 class ShardedLruCache : public Cache {

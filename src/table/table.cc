@@ -10,6 +10,20 @@ namespace elmo {
 
 namespace {
 
+thread_local TableCacheCounts tls_cache_counts;
+
+// Every block-cache lookup a Table issues goes through here.
+template <typename T>
+std::shared_ptr<T> CountedLookup(Cache* cache, const Slice& key) {
+  std::shared_ptr<T> found = cache->LookupAs<T>(key);
+  if (found != nullptr) {
+    tls_cache_counts.hits++;
+  } else {
+    tls_cache_counts.misses++;
+  }
+  return found;
+}
+
 // The returned iterator keeps the block alive via the shared_ptr.
 class OwningIter : public Iterator {
  public:
@@ -31,6 +45,8 @@ class OwningIter : public Iterator {
 };
 
 }  // namespace
+
+TableCacheCounts ThreadTableCacheCounts() { return tls_cache_counts; }
 
 struct Table::Rep {
   TableReadOptions options;
@@ -139,7 +155,7 @@ std::shared_ptr<const Block> Table::GetIndexBlock(Status* status) const {
 
   char key_buf[16];
   Slice key = r->CacheKey(key_buf, r->index_handle.offset());
-  auto cached = r->options.block_cache->LookupAs<const Block>(key);
+  auto cached = CountedLookup<const Block>(r->options.block_cache.get(), key);
   if (cached != nullptr) {
     r->Trace(TraceBlockType::kIndex, true, true, -1, r->index_handle.offset(),
              cached->size());
@@ -165,7 +181,8 @@ std::shared_ptr<const std::string> Table::GetFilter(Status* status) const {
 
   char key_buf[16];
   Slice key = r->CacheKey(key_buf, r->filter_handle.offset());
-  auto cached = r->options.block_cache->LookupAs<const std::string>(key);
+  auto cached =
+      CountedLookup<const std::string>(r->options.block_cache.get(), key);
   if (cached != nullptr) {
     r->Trace(TraceBlockType::kFilter, true, true, -1,
              r->filter_handle.offset(), cached->size());
@@ -197,7 +214,7 @@ std::unique_ptr<Iterator> Table::BlockReader(const Slice& index_value,
     char cache_key_buf[16];
     Slice cache_key = r->CacheKey(cache_key_buf, handle.offset());
     auto cached =
-        r->options.block_cache->LookupAs<const Block>(cache_key);
+        CountedLookup<const Block>(r->options.block_cache.get(), cache_key);
     if (cached != nullptr) {
       r->Trace(TraceBlockType::kData, true, fill_cache, level,
                handle.offset(), cached->size());

@@ -20,6 +20,17 @@ namespace elmo {
 
 class Block;
 
+// Block-cache lookups issued by Table readers on the calling thread,
+// cumulative since the thread started. Counted at each lookup, before
+// any block read, so a miss whose read fails still counts. A caller
+// takes the difference of two readings to attribute lookups to an
+// operation without counting other threads' traffic.
+struct TableCacheCounts {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+};
+TableCacheCounts ThreadTableCacheCounts();
+
 struct TableReadOptions {
   const Comparator* comparator = BytewiseComparator();
   const FilterPolicy* filter_policy = nullptr;

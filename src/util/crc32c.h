@@ -1,6 +1,8 @@
-// CRC32C (Castagnoli) — software table implementation with the
-// leveldb-style Mask/Unmask helpers used when the checksum itself is
-// stored inside checksummed data.
+// CRC32C (Castagnoli) with the leveldb-style Mask/Unmask helpers used
+// when the checksum itself is stored inside checksummed data. Extend
+// runs the SSE4.2 `crc32` instruction when the CPU has it (checked once
+// at run time) and a byte-at-a-time table loop otherwise; both give the
+// same value for every input.
 #pragma once
 
 #include <cstddef>
@@ -11,6 +13,15 @@ namespace elmo::crc32c {
 // Returns the crc32c of concat(A, data[0,n-1]) where init_crc is the
 // crc32c of some string A.
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
+
+// The two implementations Extend dispatches between, exposed so a test
+// can compare them. Production code calls Extend.
+namespace internal {
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
+// Call only when HasHardware(). Off x86-64 it is the portable loop.
+uint32_t ExtendHardware(uint32_t init_crc, const char* data, size_t n);
+bool HasHardware();
+}  // namespace internal
 
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }
 

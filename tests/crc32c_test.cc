@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <random>
 #include <string>
+#include <vector>
 
 namespace elmo::crc32c {
 namespace {
@@ -60,6 +64,54 @@ TEST(Crc32c, MaskRoundTrip) {
 
 TEST(Crc32c, EmptyInput) {
   EXPECT_EQ(0u, Value("", 0));
+}
+
+// The hardware path must give the table loop's value for every length
+// around its 8-byte stride, from every start misalignment, from any
+// starting crc, and when Extend is chained over arbitrary splits.
+class Crc32cDifferential : public testing::Test {
+ protected:
+  void SetUp() override {
+    std::mt19937_64 rng(301);
+    buf_.resize(2048 + 8);
+    for (char& c : buf_) c = static_cast<char>(rng());
+  }
+  std::vector<char> buf_;
+};
+
+TEST_F(Crc32cDifferential, HardwareMatchesPortable) {
+  if (!internal::HasHardware()) GTEST_SKIP() << "CPU has no SSE4.2 crc32";
+  std::mt19937 rng(7);
+  for (size_t offset = 0; offset < 8; offset++) {
+    for (size_t n = 0; n <= 2048; n++) {
+      const char* p = buf_.data() + offset;
+      const uint32_t init = rng();
+      ASSERT_EQ(internal::ExtendPortable(0, p, n),
+                internal::ExtendHardware(0, p, n))
+          << "offset=" << offset << " n=" << n;
+      ASSERT_EQ(internal::ExtendPortable(init, p, n),
+                internal::ExtendHardware(init, p, n))
+          << "offset=" << offset << " n=" << n << " init=" << init;
+    }
+  }
+}
+
+TEST_F(Crc32cDifferential, ExtendChainedOverRandomSplits) {
+  std::mt19937 rng(11);
+  for (int round = 0; round < 500; round++) {
+    const size_t n = rng() % 2049;
+    const char* p = buf_.data() + rng() % 8;
+    const uint32_t whole = internal::ExtendPortable(0, p, n);
+    uint32_t crc = 0;
+    size_t pos = 0;
+    while (pos < n) {
+      const size_t piece = std::min<size_t>(n - pos, rng() % 40);
+      crc = Extend(crc, p + pos, piece);
+      pos += piece;
+    }
+    ASSERT_EQ(whole, crc) << "round=" << round << " n=" << n;
+    ASSERT_EQ(whole, Value(p, n));
+  }
 }
 
 }  // namespace

@@ -1,17 +1,55 @@
 // Span tracing: collector tree assembly (including nested roots from
-// inline background jobs), tracer slow/sampled filtering, trace
-// round-trip + corruption detection, the "elmo.perf" property, and the
-// headline determinism guarantee — two same-seed SimEnv runs produce a
-// byte-identical span trace.
+// inline background jobs), allocation-free steady-state collection,
+// tracer slow/sampled filtering, trace round-trip + corruption
+// detection, per-Get cache counts under concurrent readers, the
+// "elmo.perf" property, and the headline determinism guarantee — two
+// same-seed SimEnv runs produce a byte-identical span trace.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <string>
+#include <thread>
 
 #include "env/mem_env.h"
 #include "env/sim_env.h"
 #include "lsm/db.h"
 #include "lsm/span.h"
+
+// Sanitizer runtimes supply their own operator new; the allocation
+// count below replaces it only in plain builds.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define SPAN_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define SPAN_TEST_SANITIZED 1
+#endif
+#endif
+
+namespace {
+// operator new calls made by a thread while its flag is set.
+thread_local bool t_count_allocations = false;
+std::atomic<uint64_t> g_allocations{0};
+}  // namespace
+
+#ifndef SPAN_TEST_SANITIZED
+void* operator new(size_t size) {
+  if (t_count_allocations) g_allocations.fetch_add(1);
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+// Out of line: inlined, gcc pairs the free() with the caller's `new`
+// and warns (-Wmismatched-new-delete).
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
+#endif
 
 namespace elmo::lsm {
 namespace {
@@ -53,6 +91,56 @@ TEST(SpanCollectorTest, BuildsTreeWithChildrenAndAnnotations) {
   // Root self time = 100 - (20 + 30).
   EXPECT_EQ(t.ChildrenDuration(0), 50u);
   EXPECT_EQ(t.SelfDuration(0), 50u);
+  EXPECT_EQ(c->open_depth(), 0u);
+}
+
+// Counts consumed trees and their spans without keeping them.
+class CountingSink : public SpanSink {
+ public:
+  void Consume(const SpanTree& tree) override {
+    trees++;
+    spans += tree.spans.size();
+  }
+  uint64_t trees = 0;
+  uint64_t spans = 0;
+};
+
+TEST(SpanCollectorTest, SteadyStateCollectionDoesNotAllocate) {
+#ifdef SPAN_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer runtime owns operator new";
+#endif
+  SpanCollector* c = GetSpanCollector();
+  CountingSink sink;
+  // A Get-shaped tree (three spans, four annotations) alternating with
+  // a smaller Write-shaped one, so the delivered tree shrinks and grows.
+  auto cycle = [c, &sink](uint64_t t) {
+    const size_t get = c->OpenRoot(SpanKind::kGet, t, &sink);
+    const size_t mem = c->OpenChild(SpanKind::kMemtableProbe, t + 1);
+    c->Annotate(mem, SpanTag::kHit, 0);
+    c->Close(mem, t + 2);
+    const size_t sst = c->OpenChild(SpanKind::kSstProbe, t + 3);
+    c->Annotate(sst, SpanTag::kFilesProbed, 1);
+    c->Annotate(sst, SpanTag::kCacheHit, 1);
+    c->Close(sst, t + 5);
+    c->Annotate(get, SpanTag::kBytes, 100);
+    c->Close(get, t + 6);
+
+    const size_t write = c->OpenRoot(SpanKind::kWrite, t + 7, &sink);
+    const size_t wal = c->OpenChild(SpanKind::kWalAppend, t + 8);
+    c->Annotate(wal, SpanTag::kBytes, 64);
+    c->Close(wal, t + 9);
+    c->Close(write, t + 10);
+  };
+  for (uint64_t i = 0; i < 10; i++) cycle(i * 100);
+
+  g_allocations.store(0);
+  t_count_allocations = true;
+  for (uint64_t i = 0; i < 1000; i++) cycle(10000 + i * 100);
+  t_count_allocations = false;
+
+  EXPECT_EQ(g_allocations.load(), 0u);
+  EXPECT_EQ(sink.trees, 2020u);
+  EXPECT_EQ(sink.spans, 1010u * 5);
   EXPECT_EQ(c->open_depth(), 0u);
 }
 
@@ -334,6 +422,80 @@ TEST(SpanDbTest, TraceContainsExpectedTreeShapes) {
   EXPECT_TRUE(saw_write_with_wal);
   EXPECT_TRUE(saw_get_with_probe);
   EXPECT_TRUE(saw_flush_with_build);
+  db.reset();
+}
+
+std::string GetTestKey(int i) {
+  char key[32];
+  snprintf(key, sizeof(key), "key%06d", i);
+  return key;
+}
+
+// A Get's sst_probe cache counts are its own thread's lookups. With one
+// SST whose index and filter are pinned (the defaults), a Get of a
+// present key looks up exactly one data block, however many Gets other
+// threads run at the same time.
+TEST(SpanDbTest, GetCacheCountsExcludeOtherThreads) {
+  MemEnv env;
+  Options o;
+  o.env = &env;
+  o.create_if_missing = true;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(o, "/db", &db).ok());
+  constexpr int kKeys = 2000;
+  for (int i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(db->Put({}, GetTestKey(i), std::string(100, 'v')).ok());
+  }
+  ASSERT_TRUE(db->CompactRange(nullptr, nullptr).ok());
+  int files = 0;
+  for (int level = 0; level < o.num_levels; level++) {
+    const std::string prop = "elmo.num-files-at-level" + std::to_string(level);
+    std::string n;
+    ASSERT_TRUE(db->GetProperty(prop, &n));
+    files += std::stoi(n);
+  }
+  ASSERT_EQ(files, 1);
+
+  ASSERT_TRUE(db->StartSpanTrace("/span.trace", {0, 0}).ok());
+  std::atomic<bool> stop{false};
+  std::thread other([&db, &stop] {
+    std::string v;
+    for (int i = 0; !stop.load(std::memory_order_relaxed); i++) {
+      db->Get({}, GetTestKey(i * 13 % kKeys), &v);
+    }
+  });
+  constexpr int kGets = 2000;
+  std::string v;
+  for (int i = 0; i < kGets; i++) {  // EXPECT: `other` must be joined
+    EXPECT_TRUE(db->Get({}, GetTestKey(i * 7 % kKeys), &v).ok());
+  }
+  stop.store(true);
+  other.join();
+  ASSERT_TRUE(db->EndSpanTrace().ok());
+
+  SpanTraceReader reader(&env);
+  ASSERT_TRUE(reader.Open("/span.trace").ok());
+  const uint32_t self = SpanThreadId();
+  int probes = 0;
+  SpanTree t;
+  bool eof = false;
+  while (true) {
+    ASSERT_TRUE(reader.Next(&t, &eof).ok());
+    if (eof) break;
+    if (t.thread_id != self || t.root().kind != SpanKind::kGet) continue;
+    for (const SpanNode& n : t.spans) {
+      if (n.kind != SpanKind::kSstProbe) continue;
+      uint64_t lookups = 0;
+      for (const auto& [tag, value] : n.annotations) {
+        if (tag == SpanTag::kCacheHit || tag == SpanTag::kCacheMiss) {
+          lookups += value;
+        }
+      }
+      EXPECT_EQ(lookups, 1u) << "main-thread Get #" << probes;
+      probes++;
+    }
+  }
+  EXPECT_EQ(probes, kGets);
   db.reset();
 }
 

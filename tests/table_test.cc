@@ -130,6 +130,44 @@ TEST_F(TableTest, BlockCachePopulatedAndHit) {
   EXPECT_EQ(stats2.inserts, stats1.inserts);
 }
 
+// The per-thread counts are taken at the lookup itself, so they match
+// the cache's own counters op for op, including a miss whose block read
+// then fails its checksum.
+TEST_F(TableTest, ThreadCacheCountsMatchCacheStatsOnFailedReads) {
+  TableReadOptions ropts;
+  ropts.block_cache = NewLruCache(1 << 20);
+  const auto entries = MakeEntries(2000);
+  BuildAndOpen(entries, {}, {});
+  MemFs::FileRef node;
+  ASSERT_TRUE(env_.fs()->Open("/t.sst", &node).ok());
+  {
+    std::lock_guard<std::mutex> l(node->mu);
+    node->data[node->data.size() / 3] ^= 0x40;  // inside a data block
+  }
+  std::unique_ptr<RandomAccessFile> rf;
+  ASSERT_TRUE(env_.NewRandomAccessFile("/t.sst", &rf).ok());
+  ASSERT_TRUE(Table::Open(ropts, std::move(rf), file_size_, &table_).ok());
+
+  int failed = 0;
+  for (const auto& [key, value] : entries) {
+    const TableCacheCounts thread_before = ThreadTableCacheCounts();
+    const Cache::Stats cache_before = ropts.block_cache->GetStats();
+    if (!table_->InternalGet(key, [](const Slice&, const Slice&) {}).ok()) {
+      failed++;
+    }
+    const TableCacheCounts thread_after = ThreadTableCacheCounts();
+    const Cache::Stats cache_after = ropts.block_cache->GetStats();
+    ASSERT_EQ(thread_after.hits - thread_before.hits,
+              cache_after.hits - cache_before.hits);
+    ASSERT_EQ(thread_after.misses - thread_before.misses,
+              cache_after.misses - cache_before.misses);
+    // Index pinned, no filter: one data-block lookup per Get.
+    ASSERT_EQ(cache_after.hits + cache_after.misses,
+              cache_before.hits + cache_before.misses + 1);
+  }
+  EXPECT_GT(failed, 0);
+}
+
 TEST_F(TableTest, RleCompressionRoundTrip) {
   TableBuildOptions bopts;
   bopts.compression = CompressionType::kRleCompression;
