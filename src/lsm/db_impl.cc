@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "env/io_trace.h"
-#include "fault/fault_injection_env.h"
 #include "fault/kill_point.h"
 #include "lsm/cost_model.h"
 #include "lsm/db_iter.h"
@@ -112,18 +111,11 @@ Options SanitizeOptions(const Options& src) {
 }
 
 // The deterministic inline-background-work path must engage whenever a
-// SimEnv sits anywhere under the user's env, including below a
-// FaultInjectionEnv decorator (stress runs pass
-// FaultInjectionEnv(SimEnv) as options.env).
+// SimEnv sits anywhere under the user's env, below any stack of
+// decorators (stress runs pass FaultInjectionEnv(SimEnv) as options.env).
 SimEnv* FindSimEnv(Env* env) {
-  if (auto* sim = dynamic_cast<SimEnv*>(env)) return sim;
-  if (auto* fault = dynamic_cast<FaultInjectionEnv*>(env)) {
-    return FindSimEnv(fault->base());
-  }
-  if (auto* tracing = dynamic_cast<IOTracingEnv*>(env)) {
-    return FindSimEnv(tracing->base());
-  }
-  return nullptr;
+  while (auto* wrapper = dynamic_cast<EnvWrapper*>(env)) env = wrapper->base();
+  return dynamic_cast<SimEnv*>(env);
 }
 
 }  // namespace
@@ -717,31 +709,7 @@ Status DBImpl::MakeRoomForWrite(std::unique_lock<std::mutex>& l) {
     if (!error_handler_.ok()) {
       // Soft error: writes stall while auto-resume retries; escalation
       // to hard (budget exhausted) flips the loop into fail-fast above.
-      stats_.Add(Ticker::kWriteStopCount, 1);
-      UpdateStallCondition(StallCondition::kStopped,
-                           StallReason::kBackgroundError, 0);
-      uint64_t waited = 0;
-      SpanScope stall_span(env_, SpanKind::kStallWait);
-      stall_span.Annotate(
-          SpanTag::kStallReason,
-          static_cast<uint64_t>(StallReason::kBackgroundError));
-      if (sim_ != nullptr) {
-        const uint64_t now = sim_->NowMicros();
-        const uint64_t next = error_handler_.next_retry_at_us();
-        if (next > now) {
-          waited = next - now;
-          sim_->AdvanceTo(next);
-        }
-        // next <= now: the retry is due; the loop attempts it above.
-      } else {
-        const uint64_t t0 = env_->NowMicros();
-        bg_work_finished_.wait(l);  // recovery thread signals transitions
-        waited = env_->NowMicros() - t0;
-      }
-      stall_span.Close();
-      stats_.Add(Ticker::kWriteStallMicros, waited);
-      stats_.Measure(HistogramType::kStallMicros, waited);
-      NotifyWriteStop(StallReason::kBackgroundError, waited);
+      StopWrites(l, StallReason::kBackgroundError);
       continue;
     }
 
@@ -783,80 +751,73 @@ Status DBImpl::MakeRoomForWrite(std::unique_lock<std::mutex>& l) {
       return Status::OK();  // room available
     }
 
+    Status s;
     if (ImmCountForStall() >= options_.max_write_buffer_number - 1) {
-      // All memtable slots full: wait for a flush.
-      stats_.Add(Ticker::kWriteStopCount, 1);
-      stats_.Add(Ticker::kStallMemtableStopCount, 1);
-      UpdateStallCondition(StallCondition::kStopped,
-                           StallReason::kMemtableLimit, 0);
-      uint64_t waited = 0;
-      SpanScope stall_span(env_, SpanKind::kStallWait);
-      stall_span.Annotate(
-          SpanTag::kStallReason,
-          static_cast<uint64_t>(StallReason::kMemtableLimit));
-      if (sim_ != nullptr) {
-        uint64_t now = sim_->NowMicros();
-        uint64_t next = vstall_.NextEventAfter(now);
-        if (next <= now) {
-          // No pending completion — should not happen; avoid spinning.
-          return Status::Busy("stalled with no pending flush");
-        }
-        waited = next - now;
-        sim_->AdvanceTo(next);
-      } else {
-        MaybeScheduleFlush();
-        uint64_t t0 = env_->NowMicros();
-        bg_work_finished_.wait(l);
-        waited = env_->NowMicros() - t0;
-      }
-      stall_span.Close();
-      stats_.Add(Ticker::kWriteStallMicros, waited);
-      stats_.Measure(HistogramType::kStallMicros, waited);
-      NotifyWriteStop(StallReason::kMemtableLimit, waited);
-      continue;
+      s = StopWrites(l, StallReason::kMemtableLimit);  // wait for a flush
+    } else if (l0 >= options_.level0_stop_writes_trigger) {
+      s = StopWrites(l, StallReason::kL0FileCount);
+    } else {
+      s = SwitchMemTable();
+      MaybeScheduleFlush();
     }
-
-    if (l0 >= options_.level0_stop_writes_trigger) {
-      stats_.Add(Ticker::kWriteStopCount, 1);
-      stats_.Add(Ticker::kStallL0StopCount, 1);
-      UpdateStallCondition(StallCondition::kStopped,
-                           StallReason::kL0FileCount, 0);
-      uint64_t waited = 0;
-      SpanScope stall_span(env_, SpanKind::kStallWait);
-      stall_span.Annotate(
-          SpanTag::kStallReason,
-          static_cast<uint64_t>(StallReason::kL0FileCount));
-      if (sim_ != nullptr) {
-        uint64_t now = sim_->NowMicros();
-        uint64_t next = vstall_.NextEventAfter(now);
-        if (next <= now) {
-          return Status::Busy("stalled with no pending compaction");
-        }
-        waited = next - now;
-        sim_->AdvanceTo(next);
-      } else {
-        MaybeScheduleCompaction();
-        uint64_t t0 = env_->NowMicros();
-        bg_work_finished_.wait(l);
-        waited = env_->NowMicros() - t0;
-      }
-      stall_span.Close();
-      stats_.Add(Ticker::kWriteStallMicros, waited);
-      stats_.Measure(HistogramType::kStallMicros, waited);
-      NotifyWriteStop(StallReason::kL0FileCount, waited);
-      continue;
-    }
-
-    // Switch to a fresh memtable.
-    const uint64_t old_log_number = logfile_number_;
-    Status s = SwitchToNewLog();
     if (!s.ok()) return s;
-    imm_.push_back(ImmEntry{mem_, old_log_number});
-    if (sim_ != nullptr) vstall_.OnMemtableSwitch();
-    mem_ = std::make_shared<MemTable>(internal_comparator_);
-    wal_live_bytes_ = 0;
-    MaybeScheduleFlush();
   }
+}
+
+Status DBImpl::StopWrites(std::unique_lock<std::mutex>& l,
+                          StallReason reason) {
+  // REQUIRES: l holds mu_.
+  stats_.Add(Ticker::kWriteStopCount, 1);
+  if (reason == StallReason::kMemtableLimit) {
+    stats_.Add(Ticker::kStallMemtableStopCount, 1);
+  } else if (reason == StallReason::kL0FileCount) {
+    stats_.Add(Ticker::kStallL0StopCount, 1);
+  }
+  UpdateStallCondition(StallCondition::kStopped, reason, 0);
+  uint64_t waited = 0;
+  SpanScope stall_span(env_, SpanKind::kStallWait);
+  stall_span.Annotate(SpanTag::kStallReason, static_cast<uint64_t>(reason));
+  if (sim_ != nullptr) {
+    // Jump the virtual clock to the event that may lift the stop: the
+    // next auto-resume retry or the next background-job completion.
+    const uint64_t now = sim_->NowMicros();
+    const uint64_t next = reason == StallReason::kBackgroundError
+                              ? error_handler_.next_retry_at_us()
+                              : vstall_.NextEventAfter(now);
+    if (next > now) {
+      waited = next - now;
+      sim_->AdvanceTo(next);
+    } else if (reason != StallReason::kBackgroundError) {
+      // No pending completion — should not happen; avoid spinning.
+      return Status::Busy("write stop with no pending background job");
+    }
+    // A retry already due is attempted by the caller's next pass.
+  } else {
+    // Make sure the job that lifts the stop is queued (both are no-ops
+    // during an error episode; the recovery thread signals instead).
+    MaybeScheduleFlush();
+    MaybeScheduleCompaction();
+    const uint64_t t0 = env_->NowMicros();
+    bg_work_finished_.wait(l);
+    waited = env_->NowMicros() - t0;
+  }
+  stall_span.Close();
+  stats_.Add(Ticker::kWriteStallMicros, waited);
+  stats_.Measure(HistogramType::kStallMicros, waited);
+  NotifyWriteStop(reason, waited);
+  return Status::OK();
+}
+
+Status DBImpl::SwitchMemTable() {
+  // REQUIRES: mu_ held.
+  const uint64_t old_log_number = logfile_number_;
+  Status s = SwitchToNewLog();
+  if (!s.ok()) return s;
+  imm_.push_back(ImmEntry{mem_, old_log_number});
+  if (sim_ != nullptr) vstall_.OnMemtableSwitch();
+  mem_ = std::make_shared<MemTable>(internal_comparator_);
+  wal_live_bytes_ = 0;
+  return s;
 }
 
 // ---------------------------------------------------------------------
@@ -899,20 +860,7 @@ void DBImpl::MaybeScheduleCompaction() {
 
 void DBImpl::BackgroundFlushCall() {
   std::unique_lock<std::mutex> l(mu_);
-  if (!shutting_down_.load() && error_handler_.ok()) {
-    FlushJobInfo info;
-    BackgroundErrorSource esrc = BackgroundErrorSource::kFlush;
-    const uint64_t t0 = env_->NowMicros();
-    Status s = FlushWork(&info, &esrc);
-    if (!s.ok()) {
-      RecordBackgroundError(esrc, s);
-    } else if (info.imms_merged > 0) {
-      info.duration_micros = env_->NowMicros() - t0;
-      stats_.Measure(HistogramType::kFlushMicros, info.duration_micros);
-      NotifyFlushCompleted(info);
-      error_handler_.NoteBackgroundWorkSuccess();
-    }
-  }
+  if (!shutting_down_.load() && error_handler_.ok()) RunFlushJob();
   active_flushes_--;
   MaybeSampleLocked();
   MaybeScheduleFlush();
@@ -924,28 +872,7 @@ void DBImpl::BackgroundCompactionCall() {
   std::unique_lock<std::mutex> l(mu_);
   if (!shutting_down_.load() && error_handler_.ok()) {
     std::unique_ptr<Compaction> c = versions_->PickCompaction();
-    if (c != nullptr) {
-      int l0c = 0, l0p = 0;
-      std::vector<uint64_t> outs;
-      CompactionJobInfo info;
-      info.reason =
-          options_.compaction_style == CompactionStyle::kUniversal
-              ? CompactionReason::kUniversal
-              : CompactionReason::kLevelScore;
-      BackgroundErrorSource esrc = BackgroundErrorSource::kCompaction;
-      const uint64_t t0 = env_->NowMicros();
-      Status s = CompactionWork(std::move(c), &l0c, &l0p, &outs, &info,
-                                &esrc);
-      if (!s.ok()) {
-        RecordBackgroundError(esrc, s);
-      } else {
-        info.duration_micros = env_->NowMicros() - t0;
-        stats_.Measure(HistogramType::kCompactionMicros,
-                       info.duration_micros);
-        NotifyCompactionCompleted(info);
-        error_handler_.NoteBackgroundWorkSuccess();
-      }
-    }
+    if (c != nullptr) RunCompactionJob(std::move(c), AutoCompactionReason());
   }
   active_compactions_--;
   MaybeSampleLocked();
@@ -957,29 +884,7 @@ void DBImpl::RunFlushSim() {
   // REQUIRES: mu_ held; sim mode only.
   if (in_sim_background_) return;
   in_sim_background_ = true;
-
-  const uint64_t now = sim_->NowMicros();
-  sim_->BeginJobMeter();
-  FlushJobInfo info;
-  BackgroundErrorSource esrc = BackgroundErrorSource::kFlush;
-  Status s = FlushWork(&info, &esrc);
-  const uint64_t duration = sim_->EndJobMeter();
-
-  if (s.ok()) {
-    if (info.imms_merged > 0) {
-      const uint64_t file = info.file_number;
-      const uint64_t done =
-          sim_->ScheduleBackgroundJob(JobPriority::kHigh, now, duration);
-      vstall_.OnFlushScheduled(info.imms_merged, file != 0 ? 1 : 0, done);
-      if (file != 0) vstall_.SetFileAvailableAt(file, done);
-      info.duration_micros = duration;
-      stats_.Measure(HistogramType::kFlushMicros, duration);
-      NotifyFlushCompleted(info);
-      error_handler_.NoteBackgroundWorkSuccess();
-    }
-  } else {
-    RecordBackgroundError(esrc, s);
-  }
+  RunFlushJob();
   in_sim_background_ = false;
 
   RunCompactionsSim();
@@ -994,65 +899,102 @@ void DBImpl::RunCompactionsSim() {
   while (error_handler_.ok() && !shutting_down_.load() &&
          versions_->NeedsCompaction()) {
     std::unique_ptr<Compaction> c = versions_->PickCompaction();
-    if (c == nullptr) break;
-
-    const uint64_t now = sim_->NowMicros();
-    uint64_t ready = now;
-    std::vector<uint64_t> input_numbers;
-    for (int which = 0; which < 2; which++) {
-      for (const auto& f : c->inputs(which)) {
-        ready = std::max(ready, vstall_.FileAvailableAt(f->number));
-        input_numbers.push_back(f->number);
-      }
-    }
-
-    const bool from_l0 = (c->level() == 0);
-    const int inputs_at_l0 = from_l0 ? c->num_input_files(0) : 0;
-
-    sim_->BeginJobMeter();
-    int l0_consumed = 0, l0_produced = 0;
-    std::vector<uint64_t> output_numbers;
-    CompactionJobInfo info;
-    info.reason = options_.compaction_style == CompactionStyle::kUniversal
-                      ? CompactionReason::kUniversal
-                      : CompactionReason::kLevelScore;
-    BackgroundErrorSource esrc = BackgroundErrorSource::kCompaction;
-    Status s = CompactionWork(std::move(c), &l0_consumed, &l0_produced,
-                              &output_numbers, &info, &esrc);
-    uint64_t duration = sim_->EndJobMeter();
-
-    if (!s.ok()) {
-      RecordBackgroundError(esrc, s);
+    if (c == nullptr ||
+        !RunCompactionJob(std::move(c), AutoCompactionReason()).ok()) {
       break;
-    }
-
-    // Subcompaction speedup: parallel workers split the key range, with
-    // a coordination overhead.
-    const int subs = std::min(
-        options_.max_subcompactions,
-        std::max(1, sim_->hardware().cpu_cores));
-    if (subs > 1) {
-      duration = static_cast<uint64_t>(duration / subs * 1.15);
-    }
-
-    info.duration_micros = duration;
-    stats_.Measure(HistogramType::kCompactionMicros, duration);
-    NotifyCompactionCompleted(info);
-
-    const uint64_t done =
-        sim_->ScheduleBackgroundJob(JobPriority::kLow, ready, duration);
-    vstall_.OnCompactionScheduled(from_l0 ? inputs_at_l0 : l0_consumed,
-                                  l0_produced, done);
-    for (uint64_t out : output_numbers) {
-      vstall_.SetFileAvailableAt(out, done);
-    }
-    for (uint64_t in : input_numbers) {
-      vstall_.ForgetFile(in);
     }
   }
 
   in_sim_background_ = false;
   MaybeSampleLocked();
+}
+
+CompactionReason DBImpl::AutoCompactionReason() const {
+  return options_.compaction_style == CompactionStyle::kUniversal
+             ? CompactionReason::kUniversal
+             : CompactionReason::kLevelScore;
+}
+
+void DBImpl::RunFlushJob() {
+  // REQUIRES: mu_ held.
+  FlushJobInfo info;
+  BackgroundErrorSource esrc = BackgroundErrorSource::kFlush;
+  const uint64_t start = env_->NowMicros();
+  if (sim_ != nullptr) sim_->BeginJobMeter();
+  Status s = FlushWork(&info, &esrc);
+  const uint64_t duration =
+      sim_ != nullptr ? sim_->EndJobMeter() : env_->NowMicros() - start;
+  if (!s.ok()) {
+    RecordBackgroundError(esrc, s);
+    return;
+  }
+  if (info.imms_merged == 0) return;
+
+  if (sim_ != nullptr) {
+    // Book the job on a flush lane: its memtables drain, and its L0
+    // file appears, at the lane's virtual completion time.
+    const uint64_t file = info.file_number;
+    const uint64_t done =
+        sim_->ScheduleBackgroundJob(JobPriority::kHigh, start, duration);
+    vstall_.OnFlushScheduled(info.imms_merged, file != 0 ? 1 : 0, done);
+    if (file != 0) vstall_.SetFileAvailableAt(file, done);
+  }
+  info.duration_micros = duration;
+  stats_.Measure(HistogramType::kFlushMicros, duration);
+  NotifyFlushCompleted(info);
+  error_handler_.NoteBackgroundWorkSuccess();
+}
+
+Status DBImpl::RunCompactionJob(std::unique_ptr<Compaction> c,
+                                CompactionReason reason) {
+  // REQUIRES: mu_ held.
+  std::vector<uint64_t> input_numbers;
+  for (int which = 0; which < 2; which++) {
+    for (const auto& f : c->inputs(which)) input_numbers.push_back(f->number);
+  }
+  int l0_consumed = 0, l0_produced = 0;
+  std::vector<uint64_t> output_numbers;
+  CompactionJobInfo info;
+  info.reason = reason;
+  BackgroundErrorSource esrc = BackgroundErrorSource::kCompaction;
+  const uint64_t start = env_->NowMicros();
+  if (sim_ != nullptr) sim_->BeginJobMeter();
+  Status s = CompactionWork(std::move(c), &l0_consumed, &l0_produced,
+                            &output_numbers, &info, &esrc);
+  uint64_t duration =
+      sim_ != nullptr ? sim_->EndJobMeter() : env_->NowMicros() - start;
+  if (!s.ok()) {
+    RecordBackgroundError(esrc, s);
+    return s;
+  }
+
+  if (sim_ != nullptr) {
+    // Subcompaction speedup: parallel workers split the key range, with
+    // a coordination overhead.
+    const int subs = std::min(options_.max_subcompactions,
+                              std::max(1, sim_->hardware().cpu_cores));
+    if (subs > 1) {
+      duration = static_cast<uint64_t>(duration / subs * 1.15);
+    }
+    // Book the job on a compaction lane once its inputs exist in virtual
+    // time; its outputs appear, and its L0 inputs leave, on completion.
+    uint64_t ready = start;
+    for (uint64_t in : input_numbers) {
+      ready = std::max(ready, vstall_.FileAvailableAt(in));
+    }
+    const uint64_t done =
+        sim_->ScheduleBackgroundJob(JobPriority::kLow, ready, duration);
+    vstall_.OnCompactionScheduled(l0_consumed, l0_produced, done);
+    for (uint64_t out : output_numbers) {
+      vstall_.SetFileAvailableAt(out, done);
+    }
+    for (uint64_t in : input_numbers) vstall_.ForgetFile(in);
+  }
+  info.duration_micros = duration;
+  stats_.Measure(HistogramType::kCompactionMicros, duration);
+  NotifyCompactionCompleted(info);
+  error_handler_.NoteBackgroundWorkSuccess();
+  return s;
 }
 
 // ---------------------------------------------------------------------
@@ -2610,13 +2552,8 @@ Status DBImpl::ApplyDynamicOptionsLocked(
 Status DBImpl::FlushMemTable() {
   std::unique_lock<std::mutex> l(mu_);
   if (mem_->NumEntries() > 0) {
-    const uint64_t old_log_number = logfile_number_;
-    Status s = SwitchToNewLog();
+    Status s = SwitchMemTable();
     if (!s.ok()) return s;
-    imm_.push_back(ImmEntry{mem_, old_log_number});
-    if (sim_ != nullptr) vstall_.OnMemtableSwitch();
-    mem_ = std::make_shared<MemTable>(internal_comparator_);
-    wal_live_bytes_ = 0;
   }
   if (imm_.empty()) return Status::OK();
 
@@ -2752,36 +2689,16 @@ Status DBImpl::CompactRange(const Slice* begin, const Slice* end) {
       std::unique_ptr<Compaction> c =
           versions_->CompactRange(level, begin_ptr, end_ptr);
       if (c == nullptr) break;
-      int l0c = 0, l0p = 0;
-      std::vector<uint64_t> outs;
-      CompactionJobInfo info;
-      info.reason = CompactionReason::kManual;
-      const uint64_t t0 = env_->NowMicros();
-      BackgroundErrorSource esrc = BackgroundErrorSource::kCompaction;
-      s = CompactionWork(std::move(c), &l0c, &l0p, &outs, &info, &esrc);
-      if (!s.ok()) RecordBackgroundError(esrc, s);
-      if (s.ok()) {
-        info.duration_micros = env_->NowMicros() - t0;
-        stats_.Measure(HistogramType::kCompactionMicros,
-                       info.duration_micros);
-        NotifyCompactionCompleted(info);
-      }
+      s = RunCompactionJob(std::move(c), CompactionReason::kManual);
     }
   }
 
   manual_compaction_active_ = false;
 
   if (sim_ != nullptr) {
-    // Manual compaction bypassed the virtual-time bookkeeping; settle
-    // every outstanding event and resynchronize the L0 counter with the
-    // real tree.
-    while (vstall_.HasPendingEvents()) {
-      uint64_t now = sim_->NowMicros();
-      uint64_t next = vstall_.NextEventAfter(now);
-      if (next <= now) break;
-      sim_->AdvanceTo(next);
-      vstall_.ProcessUntil(next);
-    }
+    // Run the virtual clock past the manual jobs' lane completions and
+    // resynchronize the L0 counter with the real tree.
+    SettleVirtualClockLocked();
     vstall_.SetInitialL0(versions_->NumLevelFiles(0));
   }
   return s;

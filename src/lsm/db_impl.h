@@ -101,25 +101,46 @@ class DBImpl : public DB {
 
   // --- write path ---
   Status MakeRoomForWrite(std::unique_lock<std::mutex>& l);
+  // Stop the writer holding `l` until `reason` may have cleared: jump the
+  // virtual clock to the next event under SimEnv, else wait for a
+  // background signal. Books the stop tickers, the stall span and
+  // OnWriteStop. Busy when SimEnv has no pending event to wait for.
+  Status StopWrites(std::unique_lock<std::mutex>& l, StallReason reason);
+  // Seal the active memtable into imm_ behind a fresh WAL. REQUIRES: mu_.
+  Status SwitchMemTable();
   int ImmCountForStall();     // virtual count under sim, real otherwise
   int L0CountForStall();
 
   // --- background: scheduling ---
+  // Each job kind has one body (RunFlushJob / RunCompactionJob) that
+  // every driver calls: the thread-pool entries under real envs, the
+  // inline re-entrancy-guarded runners under SimEnv, and CompactRange.
   void MaybeScheduleFlush();       // REQUIRES: mu_
   void MaybeScheduleCompaction();  // REQUIRES: mu_
   void BackgroundFlushCall();      // thread-pool entry
   void BackgroundCompactionCall();
+  void RunFlushSim();        // REQUIRES: mu_; runs inline under SimEnv
+  void RunCompactionsSim();  // REQUIRES: mu_; runs inline under SimEnv
+
+  // --- background: the job bodies ---
+  // Run one flush / one compaction and account for it: record a failure
+  // with the error handler, or measure the duration, fire the completed
+  // event and note the success. The duration is the SimEnv job meter's
+  // or the env clock's, and under SimEnv the job is booked on a core
+  // lane and in vstall_; that is the only env-mode fork inside.
+  // REQUIRES: mu_.
+  void RunFlushJob();
+  Status RunCompactionJob(std::unique_ptr<Compaction> c,
+                          CompactionReason reason);
+  CompactionReason AutoCompactionReason() const;
 
   // --- background: the work ---
   // Flush every queued immutable memtable into one L0 table. Fills
-  // `info` (everything except duration_micros, which the caller owns)
-  // and fires OnFlushBegin; the caller fires OnFlushCompleted once it
-  // knows the job duration. On failure `err_source` says which layer
-  // failed (the table build vs the MANIFEST apply) so the error handler
-  // classifies it correctly.
+  // `info` (everything except duration_micros) and fires OnFlushBegin.
+  // On failure `err_source` says which layer failed (the table build vs
+  // the MANIFEST apply) so the error handler classifies it correctly.
   Status FlushWork(FlushJobInfo* info, BackgroundErrorSource* err_source);
-  // Same contract for compactions: the caller presets info->reason and
-  // fires OnCompactionCompleted with the duration.
+  // Same contract for compactions; info->reason is preset.
   Status CompactionWork(std::unique_ptr<Compaction> c, int* l0_consumed,
                         int* l0_produced,
                         std::vector<uint64_t>* output_numbers,
@@ -129,10 +150,6 @@ class DBImpl : public DB {
                           VersionEdit* edit, FileMetaData* meta);
   Status OpenCompactionOutputFile(std::unique_ptr<WritableFile>* file,
                                   uint64_t* number);
-
-  // Sim-mode drivers (run jobs inline under the meter).
-  void RunFlushSim();        // REQUIRES: mu_
-  void RunCompactionsSim();  // REQUIRES: mu_
 
   void RemoveObsoleteFiles();  // REQUIRES: mu_
 

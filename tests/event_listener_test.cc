@@ -10,11 +10,13 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "env/mem_env.h"
 #include "env/sim_env.h"
 #include "lsm/db.h"
+#include "lsm/span.h"
 
 namespace elmo::lsm {
 namespace {
@@ -71,6 +73,59 @@ class RecordingListener : public EventListener {
   std::vector<StallInfo> write_stops;
   Latch stop_seen;
 };
+
+// Settings under which writes outrun L0 compaction: tiny memtables,
+// enough memtable slots that flushes never stop writes, and an L0 stop
+// at three files with no slowdown band below it.
+Options L0StopOptions() {
+  Options o;
+  o.create_if_missing = true;
+  o.write_buffer_size = 64 << 10;
+  o.max_write_buffer_number = 6;
+  o.level0_file_num_compaction_trigger = 2;
+  o.level0_slowdown_writes_trigger = 3;
+  o.level0_stop_writes_trigger = 3;
+  o.max_background_compactions = 1;
+  return o;
+}
+
+// Counts the stall-wait spans in a span trace whose stall_reason is
+// `reason`.
+int CountStallSpans(Env* env, const std::string& path, StallReason reason) {
+  SpanTraceReader reader(env);
+  EXPECT_TRUE(reader.Open(path).ok());
+  int n = 0;
+  SpanTree tree;
+  bool eof = false;
+  while (reader.Next(&tree, &eof).ok() && !eof) {
+    for (const SpanNode& span : tree.spans) {
+      if (span.kind != SpanKind::kStallWait) continue;
+      for (const auto& [tag, value] : span.annotations) {
+        if (tag == SpanTag::kStallReason &&
+            value == static_cast<uint64_t>(reason)) {
+          n++;
+        }
+      }
+    }
+  }
+  return n;
+}
+
+// An L0 stop must surface as OnWriteStop with a positive wait, the
+// L0-stop ticker and a stall-wait span tagged with the reason.
+void ExpectL0Stops(DB* db, Env* env, const RecordingListener& listener) {
+  bool saw_l0_stop = false;
+  for (const StallInfo& info : listener.write_stops) {
+    if (info.reason != StallReason::kL0FileCount) continue;
+    saw_l0_stop = true;
+    EXPECT_EQ(StallCondition::kStopped, info.current);
+    EXPECT_GT(info.wait_micros, 0u);
+  }
+  EXPECT_TRUE(saw_l0_stop);
+  EXPECT_GE(db->stats().Get(Ticker::kStallL0StopCount), 1u);
+  EXPECT_GE(CountStallSpans(env, "/span.trace", StallReason::kL0FileCount),
+            1);
+}
 
 class EventListenerTest : public ::testing::Test {
  protected:
@@ -209,6 +264,32 @@ TEST_F(EventListenerTest, StallTransitionsFireUnderMemtablePressure) {
             db_->stats().Get(Ticker::kStallMemtableStopCount));
 }
 
+TEST_F(EventListenerTest, L0StopFiresWhileCompactionIsHeld) {
+  options_ = L0StopOptions();
+  Open();
+  // Hold the only compaction thread until a writer stops on the L0 file
+  // count: flushes keep landing in L0 while the compaction that would
+  // drain it queues behind the hold. The stop ticker counts before the
+  // writer waits, so the hold ends only once the stop is under way,
+  // whether or not a memtable stop came first. The deadline turns a
+  // regression that never stops into a failed assertion, not a hang.
+  env_->Schedule(
+      [db = db_.get()] {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (db->stats().Get(Ticker::kStallL0StopCount) == 0 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      },
+      JobPriority::kLow);
+  ASSERT_TRUE(db_->StartSpanTrace("/span.trace", {0, 0}).ok());
+  Fill(5000, 200);
+  ASSERT_TRUE(db_->WaitForBackgroundWork().ok());
+  ASSERT_TRUE(db_->EndSpanTrace().ok());
+  ExpectL0Stops(db_.get(), env_.get(), *listener_);
+}
+
 // The same callbacks must fire when the engine runs on the simulated
 // clock: durations come from the job meter, not wall time.
 TEST(EventListenerSimTest, FlushAndCompactionEventsUnderSimEnv) {
@@ -250,6 +331,30 @@ TEST(EventListenerSimTest, FlushAndCompactionEventsUnderSimEnv) {
   EXPECT_EQ(db->stats().Get(Ticker::kCompactionCount) +
                 db->stats().Get(Ticker::kTrivialMoveCount),
             listener->compaction_completed.size());
+}
+
+// On the simulated clock an L0 stop waits for the virtual completion
+// of the compaction booked on the HDD's single compaction lane.
+TEST(EventListenerSimTest, L0StopUnderSimEnv) {
+  auto hw = HardwareProfile::Make(4, 4, DeviceModel::SataHdd());
+  auto env = std::make_unique<SimEnv>(hw, 42);
+  Options options = L0StopOptions();
+  options.env = env.get();
+  auto listener = std::make_shared<RecordingListener>();
+  options.listeners.push_back(listener);
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  ASSERT_TRUE(db->StartSpanTrace("/span.trace", {0, 0}).ok());
+  const std::string value(200, 'v');
+  for (int i = 0; i < 5000; i++) {
+    char key[24];
+    snprintf(key, sizeof(key), "%016d", i * 7919 % 5000);
+    ASSERT_TRUE(db->Put({}, Slice(key, 16), value).ok());
+  }
+  ASSERT_TRUE(db->WaitForBackgroundWork().ok());
+  ASSERT_TRUE(db->EndSpanTrace().ok());
+  ExpectL0Stops(db.get(), env.get(), *listener);
 }
 
 }  // namespace

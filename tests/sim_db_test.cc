@@ -64,6 +64,45 @@ TEST(SimDbTest, Deterministic) {
   EXPECT_EQ(a.stall_micros, b.stall_micros);
 }
 
+// A decorator that forwards everything, like a user's own Env wrapper.
+class PassThroughEnv : public EnvWrapper {
+ public:
+  using EnvWrapper::EnvWrapper;
+};
+
+// Fills a fresh DB with tiny memtables, on a bare SimEnv or on one
+// behind PassThroughEnv; returns the virtual time at the end.
+uint64_t FillAndSettle(bool wrapped) {
+  SimEnv sim(HardwareProfile::Make(4, 4, DeviceModel::NvmeSsd()), 42);
+  PassThroughEnv wrapper(&sim);
+  Options o;
+  o.env = wrapped ? static_cast<Env*>(&wrapper) : &sim;
+  o.create_if_missing = true;
+  o.write_buffer_size = 64 << 10;
+  std::unique_ptr<DB> db;
+  EXPECT_TRUE(DB::Open(o, "/db", &db).ok());
+  const std::string value(256, 'v');
+  for (int i = 0; i < 3000; i++) {
+    char key[32];
+    snprintf(key, sizeof(key), "%016d", i * 7919 % 3000);
+    EXPECT_TRUE(db->Put({}, key, value).ok());
+  }
+  EXPECT_TRUE(db->WaitForBackgroundWork().ok());
+  EXPECT_GT(db->stats().Get(Ticker::kFlushCount), 0u);
+  db.reset();
+  return sim.NowMicros();
+}
+
+// A SimEnv below any EnvWrapper still takes the deterministic inline
+// path: same-seed runs end at the same virtual time, the same as on the
+// bare SimEnv.
+TEST(SimDbTest, SimEnvBehindAnEnvWrapperStaysDeterministic) {
+  const uint64_t wrapped = FillAndSettle(true);
+  EXPECT_GT(wrapped, 0u);
+  EXPECT_EQ(wrapped, FillAndSettle(true));
+  EXPECT_EQ(wrapped, FillAndSettle(false));
+}
+
 TEST(SimDbTest, HddSlowerThanNvme) {
   Options o;
   o.write_buffer_size = 1 << 20;
