@@ -569,8 +569,10 @@ Status DBImpl::Write(const WriteOptions& opts, WriteBatch* updates) {
   // WAL appends/syncs (and any memtable-switch IO this write triggers)
   // are attributed to the user write path.
   IOContextScope io_ctx(IOContextTag::kUserWrite);
+  // Span edges that meet share one clock read where nothing between
+  // them can charge the SimEnv clock (lsm/span.h "Clock reads").
   const uint64_t t_start = env_->NowMicros();
-  SpanScope span(env_, SpanKind::kWrite, span_tracer_.get());
+  SpanScope span(env_, SpanKind::kWrite, span_tracer_.get(), t_start);
 
   std::unique_lock<std::mutex> l(mu_);
   Status s = MakeRoomForWrite(l);
@@ -581,12 +583,18 @@ Status DBImpl::Write(const WriteOptions& opts, WriteBatch* updates) {
   const int count = updates->Count();
   const size_t batch_bytes = updates->ApproximateSize();
 
-  // WAL first (durability before visibility).
+  // WAL first (durability before visibility). The WAL span's close
+  // doubles as the memtable span's open unless a sync ran in between.
+  uint64_t t_wal_done = 0;
+  bool wal_edge_shared = false;
   if (!opts.disable_wal && !options_.disable_wal) {
     {
       SpanScope wal_span(env_, SpanKind::kWalAppend);
       wal_span.Annotate(SpanTag::kBytes, batch_bytes);
       s = log_->AddRecord(updates->Contents());
+      t_wal_done = env_->NowMicros();
+      wal_span.Close(t_wal_done);
+      wal_edge_shared = true;
     }
     stats_.Add(Ticker::kWalBytes, batch_bytes);
     wal_live_bytes_ += batch_bytes;
@@ -598,6 +606,7 @@ Status DBImpl::Write(const WriteOptions& opts, WriteBatch* updates) {
     if (s.ok()) ELMO_KILL_POINT("wal:after_append");
     if (s.ok()) {
       if (opts.sync) {
+        wal_edge_shared = false;
         SpanScope sync_span(env_, SpanKind::kWalSync);
         const uint64_t t_sync = env_->NowMicros();
         s = logfile_->Sync();
@@ -608,6 +617,7 @@ Status DBImpl::Write(const WriteOptions& opts, WriteBatch* updates) {
       } else if (options_.wal_bytes_per_sync > 0) {
         wal_bytes_since_sync_ += batch_bytes;
         if (wal_bytes_since_sync_ >= options_.wal_bytes_per_sync) {
+          wal_edge_shared = false;
           SpanScope sync_span(env_, SpanKind::kWalSync);
           const uint64_t t_sync = env_->NowMicros();
           s = logfile_->RangeSync(options_.strict_bytes_per_sync
@@ -626,7 +636,8 @@ Status DBImpl::Write(const WriteOptions& opts, WriteBatch* updates) {
   }
 
   if (s.ok()) {
-    SpanScope mem_span(env_, SpanKind::kMemtableInsert);
+    SpanScope mem_span(env_, SpanKind::kMemtableInsert,
+                       wal_edge_shared ? t_wal_done : env_->NowMicros());
     mem_span.Annotate(SpanTag::kEntries, static_cast<uint64_t>(count));
     s = updates->InsertInto(mem_.get());
   }
@@ -643,13 +654,22 @@ Status DBImpl::Write(const WriteOptions& opts, WriteBatch* updates) {
   span.Annotate(SpanTag::kEntries, static_cast<uint64_t>(count));
   ChargeWriteCpu(batch_bytes, count);
 
-  const uint64_t elapsed = env_->NowMicros() - t_start;
-  stats_.Measure(HistogramType::kWriteMicros, elapsed);
+  const uint64_t t_end = env_->NowMicros();
+  stats_.Measure(HistogramType::kWriteMicros, t_end - t_start);
 
+  // The root closes at t_end unless trace or sample work ran since. It
+  // closes after the sampler tick, which must not see this op yet.
+  uint64_t t_close = t_end;
   if (s.ok() && tracing_.load(std::memory_order_acquire)) {
     TraceWriteBatch(*updates, t_start);
+    t_close = env_->NowMicros();
   }
-  MaybeSampleLocked();
+  if (sampler_ != nullptr && sampler_->Due(t_close)) {
+    MaybeSampleLocked();
+    t_close = env_->NowMicros();
+  }
+  l.unlock();
+  span.Close(t_close);
   return s;
 }
 
@@ -1661,8 +1681,9 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
                    std::string* value) {
   value->clear();
   IOContextScope io_ctx(IOContextTag::kUserGet);
+  // Span edges share clock reads as in Write.
   const uint64_t t_start = env_->NowMicros();
-  SpanScope span(env_, SpanKind::kGet, span_tracer_.get());
+  SpanScope span(env_, SpanKind::kGet, span_tracer_.get(), t_start);
   std::shared_ptr<MemTable> mem;
   std::vector<std::shared_ptr<MemTable>> imms;
   std::shared_ptr<Version> version;
@@ -1693,6 +1714,7 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
   int files_probed = 0;
   bool done = false;
 
+  uint64_t t_mem_done = 0;  // memtable-probe close = SST-probe open
   {
     SpanScope mem_span(env_, SpanKind::kMemtableProbe);
     done = mem->Get(lkey, value, &s);
@@ -1705,9 +1727,11 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
       }
     }
     mem_span.Annotate(SpanTag::kHit, done ? 1 : 0);
+    t_mem_done = env_->NowMicros();
+    mem_span.Close(t_mem_done);
   }
   if (!done) {
-    SpanScope sst_span(env_, SpanKind::kSstProbe);
+    SpanScope sst_span(env_, SpanKind::kSstProbe, t_mem_done);
     // This thread's own lookups: other threads' Gets and compactions
     // share the cache, so its global counters would overcount.
     const TableCacheCounts cache_before = ThreadTableCacheCounts();
@@ -1736,18 +1760,25 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
     span.Annotate(SpanTag::kBytes, value->size());
   }
 
-  const uint64_t elapsed = env_->NowMicros() - t_start;
-  stats_.Measure(HistogramType::kGetMicros, elapsed);
+  const uint64_t t_end = env_->NowMicros();
+  stats_.Measure(HistogramType::kGetMicros, t_end - t_start);
 
   // Misses are traced too: a replayed read of a since-deleted key should
-  // miss again.
+  // miss again. As in Write, the root closes at t_end unless trace or
+  // sample work ran since.
+  uint64_t t_close = t_end;
   if (tracing_.load(std::memory_order_acquire)) {
     TraceGet(key, t_start);
+    t_close = env_->NowMicros();
   }
-  if (sampler_ != nullptr && sampler_->Due(env_->NowMicros())) {
-    std::lock_guard<std::mutex> sample_lock(mu_);
-    MaybeSampleLocked();
+  if (sampler_ != nullptr && sampler_->Due(t_close)) {
+    {
+      std::lock_guard<std::mutex> sample_lock(mu_);
+      MaybeSampleLocked();
+    }
+    t_close = env_->NowMicros();
   }
+  span.Close(t_close);
   return s;
 }
 

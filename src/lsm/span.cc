@@ -81,42 +81,88 @@ uint64_t SpanTree::SelfDuration(size_t i) const {
 // ---------------------------------------------------------------------
 // Aggregate
 
-void SpanAggregate::Fold(const SpanTree& tree) {
-  for (const SpanNode& n : tree.spans) {
-    Cell& c = cells_[static_cast<uint8_t>(n.kind)];
-    c.count.fetch_add(1, std::memory_order_relaxed);
-    c.total_us.fetch_add(n.duration_us, std::memory_order_relaxed);
-    uint64_t prev = c.max_us.load(std::memory_order_relaxed);
-    while (prev < n.duration_us &&
-           !c.max_us.compare_exchange_weak(prev, n.duration_us,
-                                           std::memory_order_relaxed)) {
+namespace {
+
+// Single-writer add: the owning thread is the only one that stores.
+void Bump(std::atomic<uint64_t>& a, uint64_t v) {
+  a.store(a.load(std::memory_order_relaxed) + v, std::memory_order_relaxed);
+}
+
+}  // namespace
+
+void SpanAggregate::AddCell(const Cell& c, KindTotals* t) {
+  t->count += c.count.load(std::memory_order_relaxed);
+  t->total_us += c.total_us.load(std::memory_order_relaxed);
+  t->max_us = std::max(t->max_us, c.max_us.load(std::memory_order_relaxed));
+  t->bytes += c.bytes.load(std::memory_order_relaxed);
+}
+
+SpanAggregate::ThreadCells* SpanAggregate::LocalCells() {
+  struct Slot {
+    SpanAggregate* owner = nullptr;
+    ThreadCells* cells = nullptr;
+    ~Slot() {
+      if (cells != nullptr) owner->Retire(cells);
     }
-    for (const auto& [tag, value] : n.annotations) {
-      if (tag == SpanTag::kBytes) {
-        c.bytes.fetch_add(value, std::memory_order_relaxed);
-      }
+  };
+  thread_local Slot slot;
+  if (slot.cells == nullptr) {
+    slot.owner = this;
+    slot.cells = new ThreadCells;
+    std::lock_guard<std::mutex> l(mu_);
+    threads_.push_back(slot.cells);
+  }
+  return slot.cells;
+}
+
+void SpanAggregate::Retire(ThreadCells* cells) {
+  std::lock_guard<std::mutex> l(mu_);
+  for (uint8_t k = 0; k < kMaxSpanKind; k++) {
+    AddCell(cells->cells[k], &retired_[k]);
+  }
+  threads_.erase(std::find(threads_.begin(), threads_.end(), cells));
+  delete cells;
+}
+
+void SpanAggregate::Fold(const SpanNode* spans, size_t n) {
+  ThreadCells* const local = LocalCells();
+  for (size_t i = 0; i < n; i++) {
+    const SpanNode& s = spans[i];
+    Cell& c = local->cells[static_cast<uint8_t>(s.kind)];
+    Bump(c.count, 1);
+    Bump(c.total_us, s.duration_us);
+    if (s.duration_us > c.max_us.load(std::memory_order_relaxed)) {
+      c.max_us.store(s.duration_us, std::memory_order_relaxed);
+    }
+    for (const auto& [tag, value] : s.annotations) {
+      if (tag == SpanTag::kBytes) Bump(c.bytes, value);
     }
   }
 }
 
 SpanAggregate::Snapshot SpanAggregate::GetSnapshot() const {
   Snapshot snap;
+  std::lock_guard<std::mutex> l(mu_);
   for (uint8_t k = 0; k < kMaxSpanKind; k++) {
-    snap.kinds[k].count = cells_[k].count.load(std::memory_order_relaxed);
-    snap.kinds[k].total_us =
-        cells_[k].total_us.load(std::memory_order_relaxed);
-    snap.kinds[k].max_us = cells_[k].max_us.load(std::memory_order_relaxed);
-    snap.kinds[k].bytes = cells_[k].bytes.load(std::memory_order_relaxed);
+    snap.kinds[k] = retired_[k];
+    for (const ThreadCells* cells : threads_) {
+      AddCell(cells->cells[k], &snap.kinds[k]);
+    }
   }
   return snap;
 }
 
 void SpanAggregate::Reset() {
+  std::lock_guard<std::mutex> l(mu_);
   for (uint8_t k = 0; k < kMaxSpanKind; k++) {
-    cells_[k].count.store(0, std::memory_order_relaxed);
-    cells_[k].total_us.store(0, std::memory_order_relaxed);
-    cells_[k].max_us.store(0, std::memory_order_relaxed);
-    cells_[k].bytes.store(0, std::memory_order_relaxed);
+    retired_[k] = KindTotals();
+    for (ThreadCells* cells : threads_) {
+      Cell& c = cells->cells[k];
+      c.count.store(0, std::memory_order_relaxed);
+      c.total_us.store(0, std::memory_order_relaxed);
+      c.max_us.store(0, std::memory_order_relaxed);
+      c.bytes.store(0, std::memory_order_relaxed);
+    }
   }
 }
 
@@ -152,8 +198,8 @@ std::string SpanAggregate::ToString() const {
 }
 
 SpanAggregate* GlobalSpanAggregate() {
-  static SpanAggregate aggregate;
-  return &aggregate;
+  static SpanAggregate* const aggregate = new SpanAggregate;
+  return aggregate;
 }
 
 uint32_t SpanThreadId() {
@@ -167,14 +213,17 @@ uint32_t SpanThreadId() {
 
 size_t SpanCollector::Push(SpanKind kind, int32_t parent, uint64_t now_us,
                            SpanSink* sink) {
-  if (live_ == spans_.size()) spans_.emplace_back();
-  Rec& rec = spans_[live_];
-  rec.sink = sink;
-  rec.node.kind = kind;
-  rec.node.parent = parent;
-  rec.node.start_us = now_us;
-  rec.node.duration_us = 0;
-  rec.node.annotations.clear();  // keeps its capacity for this slot
+  if (live_ == spans_.size()) {
+    spans_.emplace_back();
+    sinks_.push_back(nullptr);
+  }
+  sinks_[live_] = sink;
+  SpanNode& node = spans_[live_];
+  node.kind = kind;
+  node.parent = parent;
+  node.start_us = now_us;
+  node.duration_us = 0;
+  node.annotations.clear();  // keeps its capacity for this slot
   stack_.push_back(live_);
   return live_++;
 }
@@ -191,7 +240,7 @@ size_t SpanCollector::OpenChild(SpanKind kind, uint64_t now_us) {
 
 void SpanCollector::Annotate(size_t handle, SpanTag tag, uint64_t value) {
   if (handle == kNoSpan || handle >= live_) return;
-  spans_[handle].node.annotations.emplace_back(tag, value);
+  spans_[handle].annotations.emplace_back(tag, value);
 }
 
 void SpanCollector::Close(size_t handle, uint64_t now_us) {
@@ -199,36 +248,37 @@ void SpanCollector::Close(size_t handle, uint64_t now_us) {
   // Unwind to the handle: anything still open above it (a child whose
   // scope was escaped by an early return) closes at the same instant.
   while (!stack_.empty() && stack_.back() != handle) {
-    SpanNode& n = spans_[stack_.back()].node;
+    SpanNode& n = spans_[stack_.back()];
     n.duration_us = now_us >= n.start_us ? now_us - n.start_us : 0;
     stack_.pop_back();
   }
   if (stack_.empty()) return;  // handle was not open; drop silently
   stack_.pop_back();
 
-  Rec& rec = spans_[handle];
-  rec.node.duration_us =
-      now_us >= rec.node.start_us ? now_us - rec.node.start_us : 0;
-  if (rec.node.parent != -1) return;  // child: buffered until root close
+  SpanNode& closed = spans_[handle];
+  closed.duration_us = now_us >= closed.start_us ? now_us - closed.start_us : 0;
+  if (closed.parent != -1) return;  // child: buffered until root close
 
   // Root close. Every span at index >= handle belongs to this tree: the
   // thread is single-streamed, so a suspended outer tree cannot have
   // interleaved spans after this root opened. The records stay in
-  // spans_ for reuse; tree_ is rebuilt in place.
+  // spans_ for reuse.
   const size_t n = live_ - handle;
+  SpanSink* const sink = sinks_[handle];
+  live_ = handle;
+  GlobalSpanAggregate()->Fold(&spans_[handle], n);
+  if (sink == nullptr || !sink->WantsTrees()) return;
+
+  // tree_ is rebuilt in place.
   SizeTree(n);
   for (size_t i = 0; i < n; i++) {
     // Copy-assignment reuses the target's annotation buffer.
     SpanNode& node = tree_.spans[i];
-    node = spans_[handle + i].node;
+    node = spans_[handle + i];
     if (node.parent != -1) node.parent -= static_cast<int32_t>(handle);
   }
   tree_.thread_id = SpanThreadId();
-  SpanSink* sink = rec.sink;
-  live_ = handle;
-
-  GlobalSpanAggregate()->Fold(tree_);
-  if (sink != nullptr) sink->Consume(tree_);
+  sink->Consume(tree_);
 }
 
 void SpanCollector::SizeTree(size_t n) {
@@ -302,8 +352,8 @@ void SpanTracer::Consume(const SpanTree& tree) {
   }
   if (flags == 0) return;
 
-  std::string payload;
-  payload.reserve(kPayloadFixed + tree.spans.size() * 16);
+  std::string& payload = payload_;
+  payload.clear();
   PutFixed64(&payload, tree.root().start_us);
   PutFixed32(&payload, tree.thread_id);
   payload.push_back(static_cast<char>(flags));

@@ -8,17 +8,29 @@
 // lookups (table/table.h ThreadTableCacheCounts), so concurrent Gets and
 // compactions on other threads do not leak into them.
 //
-// Collection is always on and feeds a process-wide SpanAggregate (the
-// "elmo.perf" property and the StatsSampler span columns). It does not
-// allocate once warmed up: each thread's collector keeps its span
-// records and the tree it delivers, and reuses their storage, so only a
-// tree larger (or more annotated) than any before it allocates. When a span
-// trace is active (DB::StartSpanTrace), completed root trees that are
-// slow (root duration >= slow_op_threshold_us) or deterministically
-// sampled (every sample_every-th op of a kind) are additionally
-// serialized to a CRC-framed binary file — the slow-op log that
-// bench_kit/span_analyzer decomposes into p50/p99/p999 component shares
-// and exports as Chrome trace-event / Perfetto JSON.
+// Collection is always on, but an op pays only for what is delivered.
+// Every root close folds the root's spans into the process-wide
+// SpanAggregate (the "elmo.perf" property and the StatsSampler span
+// columns), which keeps one set of cells per thread: each thread is the
+// only writer of its cells, so a fold is plain loads and stores with no
+// locked instruction, and only a snapshot or reset takes a lock. A
+// SpanTree is assembled only when the root's sink wants one
+// (SpanSink::WantsTrees; a SpanTracer does while a trace is active).
+// Collection does not allocate once warmed up: each thread's collector
+// keeps its span records and the tree it delivers, and reuses their
+// storage, so only a tree larger (or more annotated) than any before it
+// allocates. When a span trace is active (DB::StartSpanTrace), completed
+// root trees that are slow (root duration >= slow_op_threshold_us) or
+// deterministically sampled (every sample_every-th op of a kind) are
+// additionally serialized to a CRC-framed binary file — the slow-op log
+// that bench_kit/span_analyzer decomposes into p50/p99/p999 component
+// shares and exports as Chrome trace-event / Perfetto JSON.
+//
+// Clock reads: a span edge that meets another (the op's own start, a
+// phase closing where the next opens, the op's end measurement) takes
+// the timestamp the caller already read (the SpanScope overloads taking
+// `now_us`). A caller shares a read only where nothing between the two
+// edges can charge the SimEnv clock, so virtual-time spans stay exact.
 //
 // File layout: util/record_file.h framing, magic "ELMOSPN1", version 1.
 //   payload: fixed64 root_start_us | fixed32 thread_id | flags (1 byte)
@@ -124,12 +136,17 @@ struct SpanTree {
 class SpanSink {
  public:
   virtual ~SpanSink() = default;
+  // Asked on each root close: false skips assembling the tree (the
+  // spans still reach the aggregate).
+  virtual bool WantsTrees() const { return true; }
   virtual void Consume(const SpanTree& tree) = 0;
 };
 
 // Process-wide per-kind totals, folded on every root close (tracer
 // active or not). Powers GetProperty("elmo.perf") and the sampler's
-// span columns. All counters are cumulative since process start.
+// span columns. All counters are cumulative since process start (or
+// the last Reset). Each thread folds into its own cells; a snapshot sums
+// them, and an exiting thread's totals move into a retired cell.
 class SpanAggregate {
  public:
   struct KindTotals {
@@ -145,13 +162,15 @@ class SpanAggregate {
     }
   };
 
-  void Fold(const SpanTree& tree);
+  // Adds `n` spans to the calling thread's cells.
+  void Fold(const SpanNode* spans, size_t n);
   Snapshot GetSnapshot() const;
 
   // Zero every cell. Harnesses that fingerprint their output (e.g. the
   // stress driver's deterministic report) call this at campaign start;
-  // any live DB's sampler baseline becomes stale, so reset only when no
-  // other DB is open in the process.
+  // any live DB's sampler baseline becomes stale, and a fold running
+  // concurrently on another thread may survive it, so reset only when
+  // no other DB is open in the process.
   void Reset();
 
   // Multi-line "span <name>: count=N total_us=N avg_us=N max_us=N
@@ -160,16 +179,35 @@ class SpanAggregate {
   std::string ToString() const;
 
  private:
+  friend SpanAggregate* GlobalSpanAggregate();
+  SpanAggregate() = default;
+
+  // One thread's totals. Only that thread stores to them (relaxed), so
+  // other threads may read them at any time.
   struct Cell {
     std::atomic<uint64_t> count{0};
     std::atomic<uint64_t> total_us{0};
     std::atomic<uint64_t> max_us{0};
     std::atomic<uint64_t> bytes{0};
   };
-  Cell cells_[kMaxSpanKind];
+  struct ThreadCells {
+    Cell cells[kMaxSpanKind];
+  };
+
+  static void AddCell(const Cell& c, KindTotals* t);
+
+  // The calling thread's cells, registered on first use.
+  ThreadCells* LocalCells();
+  // Thread exit: moves `cells` into retired_ and frees them.
+  void Retire(ThreadCells* cells);
+
+  mutable std::mutex mu_;
+  std::vector<ThreadCells*> threads_;  // live threads' cells; guarded by mu_
+  KindTotals retired_[kMaxSpanKind];   // exited threads; guarded by mu_
 };
 
-// The process-wide aggregate every collector folds into. Never null.
+// The process-wide aggregate every collector folds into. Never null;
+// never destroyed, so threads outliving static destruction can retire.
 SpanAggregate* GlobalSpanAggregate();
 
 // Small stable per-thread ordinal (1, 2, ...) used as the trace/track
@@ -180,15 +218,19 @@ uint32_t SpanThreadId();
 // Thread-local stack of open spans. Handles are indices into an
 // internal vector; kNoSpan marks a no-op handle (orphan child with no
 // open root). Roots may nest (inline background work): the inner tree
-// is extracted and delivered on its own close. The delivered SpanTree
-// is the collector's own and is rebuilt by the next root close, so a
-// sink copies what it keeps and opens no span while consuming.
+// is extracted and delivered on its own close. Spans reach the
+// aggregate only at their root's close, never at a child's, so an op
+// still open is invisible to a sampler tick it runs. The delivered
+// SpanTree is the collector's own and is rebuilt by the next root close
+// whose sink wants a tree, so a sink copies what it keeps and opens no
+// span while consuming.
 class SpanCollector {
  public:
   static constexpr size_t kNoSpan = static_cast<size_t>(-1);
 
   // Opens a root span. `sink` (may be null) receives the completed tree
-  // on close, after the fold into the global aggregate.
+  // on close, after the fold into the global aggregate, if it then
+  // WantsTrees().
   size_t OpenRoot(SpanKind kind, uint64_t now_us, SpanSink* sink);
   // Opens a child of the innermost open span; kNoSpan when none is open.
   size_t OpenChild(SpanKind kind, uint64_t now_us);
@@ -198,20 +240,18 @@ class SpanCollector {
   size_t open_depth() const { return stack_.size(); }
 
  private:
-  struct Rec {
-    SpanSink* sink;  // roots only
-    SpanNode node;   // node.parent: absolute index into spans_; -1 = root
-  };
-
   size_t Push(SpanKind kind, int32_t parent, uint64_t now_us,
               SpanSink* sink);
   // Resizes tree_.spans to n nodes without freeing any: surplus nodes
   // wait in spare_ (annotation buffers intact) for a larger tree.
   void SizeTree(size_t n);
 
-  // spans_[0, live_) are open or buffered spans. Records past live_ are
-  // kept, with their annotation capacity, for the next spans opened.
-  std::vector<Rec> spans_;
+  // spans_[0, live_) are open or buffered spans (node.parent: absolute
+  // index into spans_; -1 = root), sinks_[i] the sink of root i. Records
+  // past live_ are kept, with their annotation capacity, for the next
+  // spans opened.
+  std::vector<SpanNode> spans_;
+  std::vector<SpanSink*> sinks_;
   size_t live_ = 0;
   std::vector<size_t> stack_;
   SpanTree tree_;  // the tree being delivered, rebuilt in place
@@ -227,12 +267,16 @@ class SpanScope {
  public:
   // Root span; `sink` may be null (aggregate-only collection).
   SpanScope(Env* env, SpanKind kind, SpanSink* sink)
+      : SpanScope(env, kind, sink, env->NowMicros()) {}
+  // Root span opening at `now_us`, a clock read the caller already has.
+  SpanScope(Env* env, SpanKind kind, SpanSink* sink, uint64_t now_us)
       : env_(env),
-        handle_(GetSpanCollector()->OpenRoot(kind, env->NowMicros(), sink)) {}
+        handle_(GetSpanCollector()->OpenRoot(kind, now_us, sink)) {}
   // Child span; no-op when no root is open on this thread.
   SpanScope(Env* env, SpanKind kind)
-      : env_(env),
-        handle_(GetSpanCollector()->OpenChild(kind, env->NowMicros())) {}
+      : SpanScope(env, kind, env->NowMicros()) {}
+  SpanScope(Env* env, SpanKind kind, uint64_t now_us)
+      : env_(env), handle_(GetSpanCollector()->OpenChild(kind, now_us)) {}
   ~SpanScope() { Close(); }
 
   SpanScope(const SpanScope&) = delete;
@@ -242,8 +286,12 @@ class SpanScope {
     GetSpanCollector()->Annotate(handle_, tag, value);
   }
   void Close() {
+    if (handle_ != SpanCollector::kNoSpan) Close(env_->NowMicros());
+  }
+  // Closes at `now_us`, a clock read the caller already has.
+  void Close(uint64_t now_us) {
     if (handle_ == SpanCollector::kNoSpan) return;
-    GetSpanCollector()->Close(handle_, env_->NowMicros());
+    GetSpanCollector()->Close(handle_, now_us);
     handle_ = SpanCollector::kNoSpan;
   }
 
@@ -263,8 +311,9 @@ struct SpanTraceOptions {
 };
 
 // Serializes selected trees to the CRC-framed span trace. One per DB;
-// Start/Stop toggle it, Consume is called from the collector on every
-// root close and filters by the options above.
+// Start/Stop toggle it. While a trace is active it wants trees, so
+// Consume is called on every root close and filters by the options
+// above.
 class SpanTracer : public SpanSink {
  public:
   explicit SpanTracer(Env* env);
@@ -280,6 +329,7 @@ class SpanTracer : public SpanSink {
   Status Stop(uint64_t* trees_written);
 
   bool active() const { return active_.load(std::memory_order_acquire); }
+  bool WantsTrees() const override { return active(); }
   void Consume(const SpanTree& tree) override;
 
   uint64_t trees_written() const;
@@ -295,6 +345,7 @@ class SpanTracer : public SpanSink {
   uint64_t trees_written_ = 0;
   uint64_t slow_trees_ = 0;
   uint64_t sampled_trees_ = 0;
+  std::string payload_;  // one tree's record, reused; guarded by mu_
 };
 
 // Reads a span trace back tree by tree.

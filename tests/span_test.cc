@@ -1,17 +1,21 @@
 // Span tracing: collector tree assembly (including nested roots from
 // inline background jobs), allocation-free steady-state collection,
-// tracer slow/sampled filtering, trace round-trip + corruption
-// detection, per-Get cache counts under concurrent readers, the
-// "elmo.perf" property, and the headline determinism guarantee — two
+// trees only for sinks that want them, per-thread aggregate totals that
+// survive thread exit, tracer slow/sampled filtering, trace round-trip +
+// corruption detection, per-Get cache counts under concurrent readers,
+// the "elmo.perf" property, and the headline determinism guarantee — two
 // same-seed SimEnv runs produce a byte-identical span trace.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <new>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "env/mem_env.h"
 #include "env/sim_env.h"
@@ -198,6 +202,109 @@ TEST(SpanCollectorTest, OrphanChildAndEscapedScopesAreSafe) {
   EXPECT_EQ(c->open_depth(), 0u);
 }
 
+// A sink that would drop every tree.
+class UnwantingSink : public CountingSink {
+ public:
+  bool WantsTrees() const override { return false; }
+};
+
+TEST(SpanCollectorTest, SinkThatWantsNoTreesGetsNoneButSpansAreCounted) {
+  GlobalSpanAggregate()->Reset();
+  SpanCollector* c = GetSpanCollector();
+  UnwantingSink sink;
+  for (uint64_t i = 0; i < 5; i++) {
+    const size_t root = c->OpenRoot(SpanKind::kWrite, i * 100, &sink);
+    const size_t wal = c->OpenChild(SpanKind::kWalAppend, i * 100 + 1);
+    c->Annotate(wal, SpanTag::kBytes, 10);
+    c->Close(wal, i * 100 + 3);
+    c->Close(root, i * 100 + 4);
+  }
+  EXPECT_EQ(sink.trees, 0u);
+  const SpanAggregate::Snapshot snap = GlobalSpanAggregate()->GetSnapshot();
+  EXPECT_EQ(snap.Get(SpanKind::kWrite).count, 5u);
+  EXPECT_EQ(snap.Get(SpanKind::kWrite).total_us, 20u);
+  EXPECT_EQ(snap.Get(SpanKind::kWalAppend).count, 5u);
+  EXPECT_EQ(snap.Get(SpanKind::kWalAppend).bytes, 50u);
+  EXPECT_EQ(c->open_depth(), 0u);
+}
+
+// Four threads fold into their own cells. Three exit before the first
+// snapshot and one is still alive, so the snapshot sums retired and live
+// cells; the live one's totals survive its exit too.
+TEST(SpanAggregateTest, PerThreadTotalsAreExactAndSurviveThreadExit) {
+  SpanAggregate* agg = GlobalSpanAggregate();
+  agg->Reset();
+  constexpr int kThreads = 4;
+  constexpr uint64_t kRoots = 2000;
+  // Thread t's roots last t+1 us (its last one 1000+t), each with a
+  // wal_append child of 1 us carrying t+1 bytes.
+  auto close_roots = [](int t) {
+    SpanCollector* c = GetSpanCollector();
+    for (uint64_t i = 0; i < kRoots; i++) {
+      const uint64_t start = i * 10000;
+      const size_t root = c->OpenRoot(SpanKind::kWrite, start, nullptr);
+      const size_t wal = c->OpenChild(SpanKind::kWalAppend, start);
+      c->Annotate(wal, SpanTag::kBytes, static_cast<uint64_t>(t + 1));
+      c->Close(wal, start + 1);
+      const uint64_t dur = i + 1 == kRoots ? 1000 + t : t + 1;
+      c->Close(root, start + dur);
+    }
+  };
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool folded = false, release = false;
+  std::thread live([&] {
+    close_roots(kThreads - 1);
+    std::unique_lock<std::mutex> l(mu);
+    folded = true;
+    cv.notify_all();
+    cv.wait(l, [&] { return release; });
+  });
+  std::vector<std::thread> exited;
+  for (int t = 0; t < kThreads - 1; t++) exited.emplace_back(close_roots, t);
+  for (std::thread& th : exited) th.join();
+  {
+    std::unique_lock<std::mutex> l(mu);
+    cv.wait(l, [&] { return folded; });
+  }
+
+  uint64_t total_us = 0, bytes = 0;
+  for (int t = 0; t < kThreads; t++) {
+    total_us += (kRoots - 1) * (t + 1) + 1000 + t;
+    bytes += kRoots * (t + 1);
+  }
+  auto expect_exact = [&](const SpanAggregate::Snapshot& snap) {
+    const SpanAggregate::KindTotals& w = snap.Get(SpanKind::kWrite);
+    EXPECT_EQ(w.count, kThreads * kRoots);
+    EXPECT_EQ(w.total_us, total_us);
+    EXPECT_EQ(w.max_us, 1000u + kThreads - 1);
+    EXPECT_EQ(w.bytes, 0u);
+    const SpanAggregate::KindTotals& wal = snap.Get(SpanKind::kWalAppend);
+    EXPECT_EQ(wal.count, kThreads * kRoots);
+    EXPECT_EQ(wal.total_us, kThreads * kRoots);
+    EXPECT_EQ(wal.max_us, 1u);
+    EXPECT_EQ(wal.bytes, bytes);
+  };
+  expect_exact(agg->GetSnapshot());  // three retired, one live
+  {
+    std::lock_guard<std::mutex> l(mu);
+    release = true;
+  }
+  cv.notify_all();
+  live.join();
+  expect_exact(agg->GetSnapshot());  // all four retired
+
+  agg->Reset();
+  const SpanAggregate::Snapshot zero = agg->GetSnapshot();
+  for (uint8_t k = 0; k < kMaxSpanKind; k++) {
+    EXPECT_EQ(zero.kinds[k].count, 0u) << int{k};
+    EXPECT_EQ(zero.kinds[k].total_us, 0u) << int{k};
+    EXPECT_EQ(zero.kinds[k].max_us, 0u) << int{k};
+    EXPECT_EQ(zero.kinds[k].bytes, 0u) << int{k};
+  }
+}
+
 TEST(SpanTracerTest, SlowThresholdAndDeterministicSampling) {
   MemEnv env;
   SpanTracer tracer(&env);
@@ -264,6 +371,16 @@ TEST(SpanTracerTest, ZeroThresholdCapturesEverything) {
   }
   EXPECT_EQ(tracer.trees_written(), 7u);
   ASSERT_TRUE(tracer.Stop(nullptr).ok());
+}
+
+TEST(SpanTracerTest, WantsTreesOnlyWhileActive) {
+  MemEnv env;
+  SpanTracer tracer(&env);
+  EXPECT_FALSE(tracer.WantsTrees());
+  ASSERT_TRUE(tracer.Start("/span", {0, 0}, 0).ok());
+  EXPECT_TRUE(tracer.WantsTrees());
+  ASSERT_TRUE(tracer.Stop(nullptr).ok());
+  EXPECT_FALSE(tracer.WantsTrees());
 }
 
 TEST(SpanTracerTest, CorruptionDetected) {
@@ -496,6 +613,62 @@ TEST(SpanDbTest, GetCacheCountsExcludeOtherThreads) {
     }
   }
   EXPECT_EQ(probes, kGets);
+  db.reset();
+}
+
+// Pay for what you use: with the DB's tracer inactive no tree is
+// assembled, yet every Put still lands exactly one write, wal_append and
+// memtable_insert span in "elmo.perf"; once a trace starts, trees arrive
+// again, and a write's memtable_insert opens where its wal_append closed.
+TEST(SpanDbTest, InactiveTracerBuildsNoTreesButSpansAreCounted) {
+  MemEnv env;
+  Options o;
+  o.env = &env;
+  o.create_if_missing = true;
+  GlobalSpanAggregate()->Reset();  // no DB is open
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(o, "/db", &db).ok());
+
+  constexpr int kPuts = 300;
+  const std::string value(100, 'v');
+  for (int i = 0; i < kPuts; i++) {
+    ASSERT_TRUE(db->Put({}, GetTestKey(i), value).ok());
+  }
+  std::string prop;
+  ASSERT_TRUE(db->GetProperty("elmo.perf", &prop));
+  for (const char* line :
+       {"span op write: count=300 ", "span phase wal_append: count=300 ",
+        "span phase memtable_insert: count=300 "}) {
+    EXPECT_NE(prop.find(line), std::string::npos) << line << "\n" << prop;
+  }
+
+  constexpr int kTraced = 50;
+  ASSERT_TRUE(db->StartSpanTrace("/span.trace", {0, 0}).ok());
+  for (int i = 0; i < kTraced; i++) {
+    ASSERT_TRUE(db->Put({}, GetTestKey(kPuts + i), value).ok());
+  }
+  ASSERT_TRUE(db->EndSpanTrace().ok());
+  const SpanAggregate::Snapshot snap = GlobalSpanAggregate()->GetSnapshot();
+  EXPECT_EQ(snap.Get(SpanKind::kWrite).count, uint64_t{kPuts + kTraced});
+
+  SpanTraceReader reader(&env);
+  ASSERT_TRUE(reader.Open("/span.trace").ok());
+  int writes = 0;
+  SpanTree t;
+  bool eof = false;
+  while (true) {
+    ASSERT_TRUE(reader.Next(&t, &eof).ok());
+    if (eof) break;
+    if (t.root().kind != SpanKind::kWrite) continue;
+    writes++;
+    ASSERT_EQ(t.spans.size(), 3u);
+    const SpanNode& wal = t.spans[1];
+    const SpanNode& mem = t.spans[2];
+    ASSERT_EQ(wal.kind, SpanKind::kWalAppend);
+    ASSERT_EQ(mem.kind, SpanKind::kMemtableInsert);
+    EXPECT_EQ(wal.start_us + wal.duration_us, mem.start_us);
+  }
+  EXPECT_EQ(writes, kTraced);
   db.reset();
 }
 
