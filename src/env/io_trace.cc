@@ -126,42 +126,21 @@ IOMetadataHintScope::IOMetadataHintScope() : saved_(tls_io_metadata_hint) {
 
 IOMetadataHintScope::~IOMetadataHintScope() { tls_io_metadata_hint = saved_; }
 
-IOTracer::IOTracer(Env* env) : file_(env, kIOTraceFormat) {}
+IOTracer::IOTracer(Env* env) : RecordTrace(env, kIOTraceFormat) {}
 
-IOTracer::~IOTracer() { Close(); }
-
-Status IOTracer::Open(const std::string& path, uint64_t base_ts_us) {
-  std::lock_guard<std::mutex> l(mu_);
-  return file_.Open(path, base_ts_us);
-}
-
-Status IOTracer::AddRecord(const IOTraceRecord& rec) {
-  std::string payload;
-  payload.reserve(kPayloadFixed + 5 + rec.fname.size());
-  payload.push_back(static_cast<char>(rec.op));
-  payload.push_back(static_cast<char>(rec.kind));
-  payload.push_back(static_cast<char>(rec.context));
-  PutFixed64(&payload, rec.ts_us);
-  PutFixed64(&payload, rec.offset);
-  PutFixed64(&payload, rec.len);
-  PutFixed64(&payload, rec.latency_us);
-  PutVarint32(&payload, static_cast<uint32_t>(rec.fname.size()));
-  payload.append(rec.fname);
-
-  std::lock_guard<std::mutex> l(mu_);
-  Status s = file_.Append(Slice(payload));
-  if (s.ok()) records_++;
-  return s;
-}
-
-Status IOTracer::Close() {
-  std::lock_guard<std::mutex> l(mu_);
-  return file_.Close();
-}
-
-uint64_t IOTracer::records() const {
-  std::lock_guard<std::mutex> l(mu_);
-  return records_;
+void IOTracer::AddRecord(const IOTraceRecord& rec) {
+  Append([&rec](std::string* payload) {
+    payload->push_back(static_cast<char>(rec.op));
+    payload->push_back(static_cast<char>(rec.kind));
+    payload->push_back(static_cast<char>(rec.context));
+    PutFixed64(payload, rec.ts_us);
+    PutFixed64(payload, rec.offset);
+    PutFixed64(payload, rec.len);
+    PutFixed64(payload, rec.latency_us);
+    PutVarint32(payload, static_cast<uint32_t>(rec.fname.size()));
+    payload->append(rec.fname);
+    return true;
+  });
 }
 
 IOTraceReader::IOTraceReader(Env* env) : file_(env, kIOTraceFormat) {}

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 
 #include "env/env.h"
@@ -115,28 +114,16 @@ struct IOTraceRecord {
   std::string fname;
 };
 
-// Thread-safe writer. The trace file is written through the Env passed
-// here — DBImpl passes the *raw* (unwrapped) env so the tracer's own
-// writes never recurse into the trace.
-class IOTracer {
+// Writes the IO trace; Start/Stop/active/records come from RecordTrace.
+// The trace file is written through the Env passed here — IOTracingEnv
+// passes its *base* env so the tracer's own writes never recurse into
+// the trace.
+class IOTracer : public RecordTrace {
  public:
   explicit IOTracer(Env* env);
-  ~IOTracer();
 
-  IOTracer(const IOTracer&) = delete;
-  IOTracer& operator=(const IOTracer&) = delete;
-
-  Status Open(const std::string& path, uint64_t base_ts_us);
-  Status AddRecord(const IOTraceRecord& rec);
-  // Flush+sync+close. Idempotent; safe after a failed Open.
-  Status Close();
-
-  uint64_t records() const;
-
- private:
-  mutable std::mutex mu_;
-  RecordFileWriter file_;
-  uint64_t records_ = 0;
+  // No-op unless a trace is active.
+  void AddRecord(const IOTraceRecord& rec);
 };
 
 class IOTraceReader {

@@ -112,45 +112,10 @@ class TracingWritableFile : public WritableFile {
 
 }  // namespace
 
-IOTracingEnv::IOTracingEnv(Env* base) : EnvWrapper(base) {}
-
-IOTracingEnv::~IOTracingEnv() {
-  uint64_t records = 0;
-  EndTrace(&records);  // best-effort close if a trace is still active
-}
-
-Status IOTracingEnv::StartTrace(const std::string& path) {
-  std::lock_guard<std::mutex> l(trace_mu_);
-  if (tracer_ != nullptr) return Status::Busy("io trace already active");
-  auto tracer = std::make_shared<IOTracer>(base());
-  Status s = tracer->Open(path, base()->NowMicros());
-  if (!s.ok()) return s;
-  tracer_ = std::move(tracer);
-  enabled_.store(true, std::memory_order_release);
-  return Status::OK();
-}
-
-Status IOTracingEnv::EndTrace(uint64_t* records) {
-  std::shared_ptr<IOTracer> tracer;
-  {
-    std::lock_guard<std::mutex> l(trace_mu_);
-    if (tracer_ == nullptr) return Status::InvalidArgument("no io trace");
-    enabled_.store(false, std::memory_order_release);
-    tracer = std::move(tracer_);
-    tracer_.reset();
-  }
-  if (records != nullptr) *records = tracer->records();
-  return tracer->Close();
-}
+IOTracingEnv::IOTracingEnv(Env* base) : EnvWrapper(base), trace_(base) {}
 
 void IOTracingEnv::Emit(IOOp op, const std::string& fname, uint64_t offset,
                         uint64_t len, uint64_t start_us, uint64_t end_us) {
-  std::shared_ptr<IOTracer> tracer;
-  {
-    std::lock_guard<std::mutex> l(trace_mu_);
-    tracer = tracer_;
-  }
-  if (tracer == nullptr) return;
   IOTraceRecord rec;
   rec.op = op;
   rec.kind = ClassifyIOFileKind(fname, CurrentIOMetadataHint());
@@ -160,7 +125,7 @@ void IOTracingEnv::Emit(IOOp op, const std::string& fname, uint64_t offset,
   rec.len = len;
   rec.latency_us = end_us >= start_us ? end_us - start_us : 0;
   rec.fname = fname;
-  tracer->AddRecord(rec);  // a failed append drops the record, not the op
+  trace_.AddRecord(rec);  // a failed append drops the record, not the op
 }
 
 Status IOTracingEnv::NewSequentialFile(

@@ -7,9 +7,7 @@
 // recurses into the trace.
 #pragma once
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "env/env.h"
@@ -20,14 +18,11 @@ namespace elmo {
 class IOTracingEnv : public EnvWrapper {
  public:
   explicit IOTracingEnv(Env* base);
-  ~IOTracingEnv() override;
 
-  // Begin tracing into `path`. Fails with Busy if a trace is active.
-  Status StartTrace(const std::string& path);
-  // Stop tracing and close the file; *records (optional) receives the
-  // number of records written. InvalidArgument if no trace is active.
-  Status EndTrace(uint64_t* records);
-  bool tracing() const { return enabled_.load(std::memory_order_acquire); }
+  // The trace this env records into (DB::StartIOTrace/EndIOTrace start
+  // and stop it); its file is written through the base env.
+  IOTracer* trace() { return &trace_; }
+  bool tracing() const { return trace_.active(); }
 
   // Internal: called by the file wrappers. Latency is (end_us - start_us)
   // measured on the base env's clock before the record is serialized, so
@@ -45,9 +40,7 @@ class IOTracingEnv : public EnvWrapper {
                          std::unique_ptr<WritableFile>* result) override;
 
  private:
-  std::atomic<bool> enabled_{false};
-  std::mutex trace_mu_;
-  std::shared_ptr<IOTracer> tracer_;
+  IOTracer trace_;
 };
 
 }  // namespace elmo

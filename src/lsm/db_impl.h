@@ -237,8 +237,12 @@ class DBImpl : public DB {
   Status ApplyDynamicOptionsLocked(
       const std::map<std::string, std::string>& changes,
       const std::string& source);
-  void TraceWriteBatch(const WriteBatch& updates, uint64_t ts_us);
-  void TraceGet(const Slice& key, uint64_t ts_us);
+  // Stops `trace` and logs `event` with its record count.
+  Status StopTrace(RecordTrace* trace, const char* event);
+  // Logs `event` with `fields` when the trace Start/Stop `s` succeeded;
+  // returns s.
+  Status LogTraceEvent(const Status& s, const char* event,
+                       json::Object fields);
 
   // --- constant state ---
   Options options_;  // sanitized copy
@@ -342,11 +346,9 @@ class DBImpl : public DB {
   // is visible without the thread taking mu_ just to read it.
   std::atomic<uint64_t> sampler_interval_ms_{0};
 
-  // Trace capture. `tracing_` is the hot-path gate; `trace_` is swapped
-  // under trace_mu_ (a leaf mutex, safe to take with mu_ held).
-  std::atomic<bool> tracing_{false};
-  std::mutex trace_mu_;
-  std::shared_ptr<TraceWriter> trace_;
+  // Workload trace, written through env_. Its mutex is a leaf, safe to
+  // take with mu_ held.
+  TraceWriter workload_trace_{env_};
 
   // Slow-op span trace. Always constructed (iterators hold a stable
   // SpanSink* into it); writes go to raw_env_ so the trace's own IO

@@ -305,91 +305,49 @@ SpanCollector* GetSpanCollector() {
 // ---------------------------------------------------------------------
 // Tracer
 
-SpanTracer::SpanTracer(Env* env) : file_(env, kSpanFormat) {}
-
-SpanTracer::~SpanTracer() { Stop(nullptr); }
+SpanTracer::SpanTracer(Env* env) : RecordTrace(env, kSpanFormat) {}
 
 Status SpanTracer::Start(const std::string& path,
                          const SpanTraceOptions& options,
                          uint64_t base_ts_us) {
-  std::lock_guard<std::mutex> l(mu_);
-  if (file_.is_open()) return Status::Busy("a span trace is already active");
-  Status s = file_.Open(path, base_ts_us);
-  if (!s.ok()) return s;
-  options_ = options;
-  std::memset(seen_, 0, sizeof(seen_));
-  trees_written_ = 0;
-  slow_trees_ = 0;
-  sampled_trees_ = 0;
-  active_.store(true, std::memory_order_release);
-  return Status::OK();
-}
-
-Status SpanTracer::Stop(uint64_t* trees_written) {
-  std::lock_guard<std::mutex> l(mu_);
-  if (!file_.is_open()) {
-    return Status::InvalidArgument("no span trace active");
-  }
-  active_.store(false, std::memory_order_release);
-  if (trees_written != nullptr) *trees_written = trees_written_;
-  return file_.Close();
+  return RecordTrace::Start(path, base_ts_us, [this, &options] {
+    options_ = options;
+    std::memset(seen_, 0, sizeof(seen_));
+  });
 }
 
 void SpanTracer::Consume(const SpanTree& tree) {
-  if (!active_.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> l(mu_);
-  if (!file_.is_open()) return;
-
-  const uint8_t kind = static_cast<uint8_t>(tree.root().kind);
-  seen_[kind]++;
-  uint8_t flags = 0;
-  if (tree.root().duration_us >= options_.slow_op_threshold_us) {
-    flags |= kSpanTreeSlow;
-  }
-  if (options_.sample_every > 0 &&
-      (seen_[kind] % options_.sample_every) == 1 % options_.sample_every) {
-    flags |= kSpanTreeSampled;
-  }
-  if (flags == 0) return;
-
-  std::string& payload = payload_;
-  payload.clear();
-  PutFixed64(&payload, tree.root().start_us);
-  PutFixed32(&payload, tree.thread_id);
-  payload.push_back(static_cast<char>(flags));
-  PutVarint32(&payload, static_cast<uint32_t>(tree.spans.size()));
-  const uint64_t root_start = tree.root().start_us;
-  for (const SpanNode& n : tree.spans) {
-    payload.push_back(static_cast<char>(n.kind));
-    PutVarint32(&payload, static_cast<uint32_t>(n.parent + 1));
-    PutVarint64(&payload, n.start_us - root_start);
-    PutVarint64(&payload, n.duration_us);
-    PutVarint32(&payload, static_cast<uint32_t>(n.annotations.size()));
-    for (const auto& [tag, value] : n.annotations) {
-      payload.push_back(static_cast<char>(tag));
-      PutVarint64(&payload, value);
+  Append([this, &tree](std::string* payload) {
+    const uint8_t kind = static_cast<uint8_t>(tree.root().kind);
+    seen_[kind]++;
+    uint8_t flags = 0;
+    if (tree.root().duration_us >= options_.slow_op_threshold_us) {
+      flags |= kSpanTreeSlow;
     }
-  }
-  if (file_.Append(Slice(payload)).ok()) {
-    trees_written_++;
-    if (flags & kSpanTreeSlow) slow_trees_++;
-    if (flags & kSpanTreeSampled) sampled_trees_++;
-  }
-}
+    if (options_.sample_every > 0 &&
+        (seen_[kind] % options_.sample_every) == 1 % options_.sample_every) {
+      flags |= kSpanTreeSampled;
+    }
+    if (flags == 0) return false;
 
-uint64_t SpanTracer::trees_written() const {
-  std::lock_guard<std::mutex> l(mu_);
-  return trees_written_;
-}
-
-uint64_t SpanTracer::slow_trees() const {
-  std::lock_guard<std::mutex> l(mu_);
-  return slow_trees_;
-}
-
-uint64_t SpanTracer::sampled_trees() const {
-  std::lock_guard<std::mutex> l(mu_);
-  return sampled_trees_;
+    PutFixed64(payload, tree.root().start_us);
+    PutFixed32(payload, tree.thread_id);
+    payload->push_back(static_cast<char>(flags));
+    PutVarint32(payload, static_cast<uint32_t>(tree.spans.size()));
+    const uint64_t root_start = tree.root().start_us;
+    for (const SpanNode& n : tree.spans) {
+      payload->push_back(static_cast<char>(n.kind));
+      PutVarint32(payload, static_cast<uint32_t>(n.parent + 1));
+      PutVarint64(payload, n.start_us - root_start);
+      PutVarint64(payload, n.duration_us);
+      PutVarint32(payload, static_cast<uint32_t>(n.annotations.size()));
+      for (const auto& [tag, value] : n.annotations) {
+        payload->push_back(static_cast<char>(tag));
+        PutVarint64(payload, value);
+      }
+    }
+    return true;
+  });
 }
 
 // ---------------------------------------------------------------------

@@ -311,41 +311,24 @@ struct SpanTraceOptions {
 };
 
 // Serializes selected trees to the CRC-framed span trace. One per DB;
-// Start/Stop toggle it. While a trace is active it wants trees, so
-// Consume is called on every root close and filters by the options
-// above.
-class SpanTracer : public SpanSink {
+// Start/Stop toggle it, and Stop/records() count the trees written
+// (RecordTrace). While a trace is active it wants trees, so Consume is
+// called on every root close and filters by the options above.
+class SpanTracer : public SpanSink, public RecordTrace {
  public:
   explicit SpanTracer(Env* env);
-  ~SpanTracer() override;
-
-  SpanTracer(const SpanTracer&) = delete;
-  SpanTracer& operator=(const SpanTracer&) = delete;
 
   Status Start(const std::string& path, const SpanTraceOptions& options,
                uint64_t base_ts_us);
-  // Flush+sync+close. `trees_written` (optional) receives the record
-  // count. InvalidArgument when no trace is active.
-  Status Stop(uint64_t* trees_written);
 
-  bool active() const { return active_.load(std::memory_order_acquire); }
   bool WantsTrees() const override { return active(); }
   void Consume(const SpanTree& tree) override;
 
-  uint64_t trees_written() const;
-  uint64_t slow_trees() const;
-  uint64_t sampled_trees() const;
-
  private:
-  std::atomic<bool> active_{false};
-  mutable std::mutex mu_;
-  RecordFileWriter file_;
+  // Sampling state of the active trace, reset by Start; guarded by the
+  // trace's mutex (read and written only inside Start and Append).
   SpanTraceOptions options_;
   uint64_t seen_[kMaxSpanKind] = {};  // per-root-kind ops observed
-  uint64_t trees_written_ = 0;
-  uint64_t slow_trees_ = 0;
-  uint64_t sampled_trees_ = 0;
-  std::string payload_;  // one tree's record, reused; guarded by mu_
 };
 
 // Reads a span trace back tree by tree.

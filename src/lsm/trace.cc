@@ -14,40 +14,19 @@ constexpr RecordFormat kTraceFormat = {"ELMOTRC1", 1, "trace",
 
 }  // namespace
 
-TraceWriter::TraceWriter(Env* env) : file_(env, kTraceFormat) {}
+TraceWriter::TraceWriter(Env* env) : RecordTrace(env, kTraceFormat) {}
 
-TraceWriter::~TraceWriter() { Close(); }
-
-Status TraceWriter::Open(const std::string& path, uint64_t base_ts_us) {
-  std::lock_guard<std::mutex> l(mu_);
-  return file_.Open(path, base_ts_us);
-}
-
-Status TraceWriter::AddRecord(TraceOp op, uint64_t ts_us, uint32_t thread_id,
-                              const Slice& key, uint32_t value_size) {
-  std::string payload;
-  payload.reserve(kPayloadFixed + 5 + key.size() + 5);
-  payload.push_back(static_cast<char>(op));
-  PutFixed64(&payload, ts_us);
-  PutFixed32(&payload, thread_id);
-  PutVarint32(&payload, static_cast<uint32_t>(key.size()));
-  payload.append(key.data(), key.size());
-  PutVarint32(&payload, value_size);
-
-  std::lock_guard<std::mutex> l(mu_);
-  Status s = file_.Append(Slice(payload));
-  if (s.ok()) records_++;
-  return s;
-}
-
-Status TraceWriter::Close() {
-  std::lock_guard<std::mutex> l(mu_);
-  return file_.Close();
-}
-
-uint64_t TraceWriter::records() const {
-  std::lock_guard<std::mutex> l(mu_);
-  return records_;
+void TraceWriter::AddRecord(TraceOp op, uint64_t ts_us, uint32_t thread_id,
+                            const Slice& key, uint32_t value_size) {
+  Append([&](std::string* payload) {
+    payload->push_back(static_cast<char>(op));
+    PutFixed64(payload, ts_us);
+    PutFixed32(payload, thread_id);
+    PutVarint32(payload, static_cast<uint32_t>(key.size()));
+    payload->append(key.data(), key.size());
+    PutVarint32(payload, value_size);
+    return true;
+  });
 }
 
 TraceReader::TraceReader(Env* env) : file_(env, kTraceFormat) {}

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 
 #include "env/env.h"
@@ -37,30 +36,16 @@ struct TraceRecord {
   uint32_t value_size = 0;  // 0 for deletes and gets
 };
 
-class TraceWriter {
+// Writes the workload trace; Start/Stop/active/records come from
+// RecordTrace. `base_ts_us` anchors replay timing (normally the engine
+// clock at StartTrace).
+class TraceWriter : public RecordTrace {
  public:
   explicit TraceWriter(Env* env);
-  ~TraceWriter();
 
-  TraceWriter(const TraceWriter&) = delete;
-  TraceWriter& operator=(const TraceWriter&) = delete;
-
-  // Create/truncate the trace file and write the header. `base_ts_us`
-  // anchors replay timing (normally the engine clock at StartTrace).
-  Status Open(const std::string& path, uint64_t base_ts_us);
-
-  Status AddRecord(TraceOp op, uint64_t ts_us, uint32_t thread_id,
-                   const Slice& key, uint32_t value_size);
-
-  // Flush+sync+close. Idempotent; safe after a failed Open.
-  Status Close();
-
-  uint64_t records() const;
-
- private:
-  mutable std::mutex mu_;
-  RecordFileWriter file_;
-  uint64_t records_ = 0;
+  // No-op unless a trace is active.
+  void AddRecord(TraceOp op, uint64_t ts_us, uint32_t thread_id,
+                 const Slice& key, uint32_t value_size);
 };
 
 class TraceReader {

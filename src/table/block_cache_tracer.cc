@@ -26,52 +26,23 @@ const char* TraceBlockTypeName(TraceBlockType type) {
   return "unknown";
 }
 
-BlockCacheTracer::BlockCacheTracer(Env* env)
-    : env_(env), file_(env, kBctFormat) {}
-
-BlockCacheTracer::~BlockCacheTracer() { Stop(nullptr); }
-
-Status BlockCacheTracer::Start(const std::string& path) {
-  std::lock_guard<std::mutex> l(mu_);
-  if (file_.is_open()) return Status::Busy("block cache trace already active");
-  Status s = file_.Open(path, env_->NowMicros());
-  if (!s.ok()) return s;
-  records_ = 0;
-  enabled_.store(true, std::memory_order_release);
-  return Status::OK();
-}
-
-Status BlockCacheTracer::Stop(uint64_t* records) {
-  std::lock_guard<std::mutex> l(mu_);
-  if (!file_.is_open()) {
-    return Status::InvalidArgument("no block cache trace");
-  }
-  enabled_.store(false, std::memory_order_release);
-  if (records != nullptr) *records = records_;
-  return file_.Close();
-}
+BlockCacheTracer::BlockCacheTracer(Env* env) : RecordTrace(env, kBctFormat) {}
 
 void BlockCacheTracer::Record(TraceBlockType type, bool hit, bool fill,
                               int level, uint64_t file_number, uint64_t offset,
                               uint64_t charge) {
-  if (!active()) return;
   if (level < -1 || level > 127) level = -1;
-
-  std::string payload;
-  payload.reserve(kPayloadSize);
-  PutFixed64(&payload, env_->NowMicros());
-  payload.push_back(static_cast<char>(type));
-  payload.push_back(hit ? 1 : 0);
-  payload.push_back(fill ? 1 : 0);
-  payload.push_back(static_cast<char>(static_cast<int8_t>(level)));
-  PutFixed64(&payload, file_number);
-  PutFixed64(&payload, offset);
-  PutFixed64(&payload, charge);
-
-  std::lock_guard<std::mutex> l(mu_);
-  // A record that raced with Stop() finds the writer closed and is
-  // dropped, as is one whose append fails.
-  if (file_.Append(Slice(payload)).ok()) records_++;
+  Append([&](std::string* payload) {
+    PutFixed64(payload, env()->NowMicros());
+    payload->push_back(static_cast<char>(type));
+    payload->push_back(hit ? 1 : 0);
+    payload->push_back(fill ? 1 : 0);
+    payload->push_back(static_cast<char>(static_cast<int8_t>(level)));
+    PutFixed64(payload, file_number);
+    PutFixed64(payload, offset);
+    PutFixed64(payload, charge);
+    return true;
+  });
 }
 
 BlockCacheTraceReader::BlockCacheTraceReader(Env* env)

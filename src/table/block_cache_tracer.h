@@ -13,13 +13,11 @@
 //
 // One BlockCacheTracer lives for the DB's lifetime (created by DBImpl,
 // handed to every Table via TableReadOptions); Record() is a no-op
-// unless a trace was activated with Start(). The trace file is written
+// unless a trace was started. The trace file is written
 // through the raw Env so trace output never shows up in the IO trace.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 
 #include "env/env.h"
@@ -47,32 +45,16 @@ struct BlockCacheAccessRecord {
   uint64_t charge = 0;  // bytes the block occupies (or would occupy)
 };
 
-class BlockCacheTracer {
+// Writes the block-cache trace; Start/Stop/active/records come from
+// RecordTrace.
+class BlockCacheTracer : public RecordTrace {
  public:
   explicit BlockCacheTracer(Env* env);
-  ~BlockCacheTracer();
-
-  BlockCacheTracer(const BlockCacheTracer&) = delete;
-  BlockCacheTracer& operator=(const BlockCacheTracer&) = delete;
-
-  // Begin recording into `path`. Busy if a trace is already active.
-  Status Start(const std::string& path);
-  // Stop and close; *records (optional) receives the record count.
-  // InvalidArgument if no trace is active.
-  Status Stop(uint64_t* records);
-  bool active() const { return enabled_.load(std::memory_order_acquire); }
 
   // Record one lookup (timestamped on the env clock). No-op when no
   // trace is active; append failures drop the record, not the lookup.
   void Record(TraceBlockType type, bool hit, bool fill, int level,
               uint64_t file_number, uint64_t offset, uint64_t charge);
-
- private:
-  Env* const env_;
-  std::atomic<bool> enabled_{false};
-  mutable std::mutex mu_;
-  RecordFileWriter file_;
-  uint64_t records_ = 0;
 };
 
 class BlockCacheTraceReader {

@@ -15,41 +15,61 @@ constexpr size_t kFrameHeaderSize = 4 + 4;  // masked crc + payload length
 
 }  // namespace
 
-RecordFileWriter::RecordFileWriter(Env* env, const RecordFormat& format)
+RecordTrace::RecordTrace(Env* env, const RecordFormat& format)
     : env_(env), format_(format) {}
 
-Status RecordFileWriter::Open(const std::string& path, uint64_t base_ts_us) {
+RecordTrace::~RecordTrace() { Stop(nullptr); }
+
+Status RecordTrace::Start(const std::string& path, uint64_t base_ts_us,
+                          const std::function<void()>& on_start) {
+  std::lock_guard<std::mutex> l(mu_);
+  if (file_ != nullptr) {
+    return Status::Busy(std::string(format_.noun) + " already active");
+  }
   Status s = env_->NewWritableFile(path, &file_);
   if (!s.ok()) return s;
   std::string header(format_.magic, kMagicSize);
   PutFixed32(&header, format_.version);
   PutFixed64(&header, base_ts_us);
   s = file_->Append(Slice(header));
-  if (!s.ok()) file_.reset();
-  return s;
-}
-
-Status RecordFileWriter::Append(const Slice& payload) {
-  if (file_ == nullptr) {
-    return Status::IOError(std::string(format_.noun) + " writer not open");
+  if (!s.ok()) {
+    file_.reset();
+    return s;
   }
-  std::string frame;
-  frame.reserve(kFrameHeaderSize + payload.size());
-  PutFixed32(&frame,
-             crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
-  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-  frame.append(payload.data(), payload.size());
-  return file_->Append(Slice(frame));
+  records_ = 0;
+  if (on_start) on_start();
+  active_.store(true, std::memory_order_release);
+  return Status::OK();
 }
 
-Status RecordFileWriter::Close() {
-  if (file_ == nullptr) return Status::OK();
+Status RecordTrace::Stop(uint64_t* records) {
+  std::lock_guard<std::mutex> l(mu_);
+  if (file_ == nullptr) {
+    return Status::InvalidArgument(std::string("no ") + format_.noun +
+                                   " active");
+  }
+  active_.store(false, std::memory_order_release);
+  if (records != nullptr) *records = records_;
   Status s = file_->Flush();
   if (s.ok()) s = file_->Sync();
   Status c = file_->Close();
   if (s.ok()) s = c;
   file_.reset();
   return s;
+}
+
+uint64_t RecordTrace::records() const {
+  std::lock_guard<std::mutex> l(mu_);
+  return records_;
+}
+
+void RecordTrace::AppendLocked() {
+  frame_.clear();
+  PutFixed32(&frame_,
+             crc32c::Mask(crc32c::Value(payload_.data(), payload_.size())));
+  PutFixed32(&frame_, static_cast<uint32_t>(payload_.size()));
+  frame_.append(payload_);
+  if (file_->Append(Slice(frame_)).ok()) records_++;
 }
 
 RecordFileReader::RecordFileReader(Env* env, const RecordFormat& format)

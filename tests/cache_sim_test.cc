@@ -29,7 +29,7 @@ class CacheTraceTest : public ::testing::Test {
 };
 
 TEST_F(CacheTraceTest, WriteReadRoundTrip) {
-  ASSERT_TRUE(tracer_.Start("/cache.trace").ok());
+  ASSERT_TRUE(tracer_.Start("/cache.trace", env_.NowMicros()).ok());
   EXPECT_TRUE(tracer_.active());
   tracer_.Record(TraceBlockType::kData, /*hit=*/false, /*fill=*/true,
                  /*level=*/1, /*file_number=*/7, /*offset=*/4096,
@@ -70,7 +70,7 @@ TEST_F(CacheTraceTest, RecordIsNoOpWithoutActiveTrace) {
 }
 
 TEST_F(CacheTraceTest, CorruptedTraceRejected) {
-  ASSERT_TRUE(tracer_.Start("/cache.trace").ok());
+  ASSERT_TRUE(tracer_.Start("/cache.trace", env_.NowMicros()).ok());
   tracer_.Record(TraceBlockType::kData, false, true, 0, 1, 0, 100);
   ASSERT_TRUE(tracer_.Stop(nullptr).ok());
 
@@ -97,7 +97,7 @@ TEST_F(CacheTraceTest, CorruptedTraceRejected) {
 // ghost is all misses (LRU's pathological case); a large-enough ghost
 // hits on every revisit.
 TEST_F(CacheTraceTest, GhostLruKnownAnswer) {
-  ASSERT_TRUE(tracer_.Start("/cache.trace").ok());
+  ASSERT_TRUE(tracer_.Start("/cache.trace", env_.NowMicros()).ok());
   for (int round = 0; round < 10; round++) {
     for (uint64_t block = 0; block < 3; block++) {
       tracer_.Record(TraceBlockType::kData, false, true, 0,

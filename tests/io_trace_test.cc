@@ -67,12 +67,12 @@ class IOTraceFileTest : public ::testing::Test {
 TEST_F(IOTraceFileTest, WriteReadRoundTrip) {
   IOTracer tracer(&env_);
   ASSERT_TRUE(env_.CreateDirIfMissing("/t").ok());
-  ASSERT_TRUE(tracer.Open("/t/io.trace", /*base_ts_us=*/999).ok());
+  ASSERT_TRUE(tracer.Start("/t/io.trace", /*base_ts_us=*/999).ok());
   for (uint64_t i = 0; i < 10; i++) {
-    ASSERT_TRUE(tracer.AddRecord(MakeRecord(i)).ok());
+    tracer.AddRecord(MakeRecord(i));
   }
   EXPECT_EQ(10u, tracer.records());
-  ASSERT_TRUE(tracer.Close().ok());
+  ASSERT_TRUE(tracer.Stop(nullptr).ok());
 
   IOTraceReader reader(&env_);
   ASSERT_TRUE(reader.Open("/t/io.trace").ok());
@@ -98,9 +98,9 @@ TEST_F(IOTraceFileTest, WriteReadRoundTrip) {
 TEST_F(IOTraceFileTest, CorruptedRecordRejected) {
   IOTracer tracer(&env_);
   ASSERT_TRUE(env_.CreateDirIfMissing("/t").ok());
-  ASSERT_TRUE(tracer.Open("/t/io.trace", 0).ok());
-  ASSERT_TRUE(tracer.AddRecord(MakeRecord(0)).ok());
-  ASSERT_TRUE(tracer.Close().ok());
+  ASSERT_TRUE(tracer.Start("/t/io.trace", 0).ok());
+  tracer.AddRecord(MakeRecord(0));
+  ASSERT_TRUE(tracer.Stop(nullptr).ok());
 
   std::string contents;
   ASSERT_TRUE(env_.ReadFileToString("/t/io.trace", &contents).ok());

@@ -52,19 +52,19 @@ void ExpectGolden(Env* env, const std::string& path, size_t size,
 TEST(RecordFileGolden, WorkloadTrace) {
   TickingMemEnv env;
   lsm::TraceWriter writer(&env);
-  ASSERT_TRUE(writer.Open("/workload.trace", 1000).ok());
+  ASSERT_TRUE(writer.Start("/workload.trace", 1000).ok());
   using lsm::TraceOp;
-  ASSERT_TRUE(writer.AddRecord(TraceOp::kPut, 1010, 7, "alpha", 128).ok());
-  ASSERT_TRUE(writer.AddRecord(TraceOp::kDelete, 1020, 7, "beta", 0).ok());
-  ASSERT_TRUE(writer.AddRecord(TraceOp::kGet, 1030, 9, "gamma", 0).ok());
-  ASSERT_TRUE(writer.Close().ok());
+  writer.AddRecord(TraceOp::kPut, 1010, 7, "alpha", 128);
+  writer.AddRecord(TraceOp::kDelete, 1020, 7, "beta", 0);
+  writer.AddRecord(TraceOp::kGet, 1030, 9, "gamma", 0);
+  ASSERT_TRUE(writer.Stop(nullptr).ok());
   ExpectGolden(&env, "/workload.trace", 104, 3589134462u);
 }
 
 TEST(RecordFileGolden, IOTrace) {
   TickingMemEnv env;
   IOTracer tracer(&env);
-  ASSERT_TRUE(tracer.Open("/io.trace", 2000).ok());
+  ASSERT_TRUE(tracer.Start("/io.trace", 2000).ok());
   IOTraceRecord rec;
   rec.op = IOOp::kWrite;
   rec.kind = IOFileKind::kWal;
@@ -74,7 +74,7 @@ TEST(RecordFileGolden, IOTrace) {
   rec.len = 512;
   rec.latency_us = 3;
   rec.fname = "/db/000005.log";
-  ASSERT_TRUE(tracer.AddRecord(rec).ok());
+  tracer.AddRecord(rec);
   rec.op = IOOp::kRead;
   rec.kind = IOFileKind::kSstIndexFilter;
   rec.context = IOContextTag::kUserGet;
@@ -83,7 +83,7 @@ TEST(RecordFileGolden, IOTrace) {
   rec.len = 4096;
   rec.latency_us = 85;
   rec.fname = "/db/000007.sst";
-  ASSERT_TRUE(tracer.AddRecord(rec).ok());
+  tracer.AddRecord(rec);
   rec.op = IOOp::kSync;
   rec.kind = IOFileKind::kManifest;
   rec.context = IOContextTag::kFlush;
@@ -92,15 +92,15 @@ TEST(RecordFileGolden, IOTrace) {
   rec.len = 0;
   rec.latency_us = 1200;
   rec.fname = "/db/MANIFEST-000002";
-  ASSERT_TRUE(tracer.AddRecord(rec).ok());
-  ASSERT_TRUE(tracer.Close().ok());
+  tracer.AddRecord(rec);
+  ASSERT_TRUE(tracer.Stop(nullptr).ok());
   ExpectGolden(&env, "/io.trace", 199, 22548626u);
 }
 
 TEST(RecordFileGolden, BlockCacheTrace) {
   TickingMemEnv env;
   BlockCacheTracer tracer(&env);
-  ASSERT_TRUE(tracer.Start("/cache.trace").ok());
+  ASSERT_TRUE(tracer.Start("/cache.trace", env.NowMicros()).ok());
   tracer.Record(TraceBlockType::kIndex, false, true, 0, 12, 40960, 512);
   tracer.Record(TraceBlockType::kFilter, true, true, 1, 13, 45056, 1024);
   tracer.Record(TraceBlockType::kData, false, false, -1, 14, 4096, 4096);

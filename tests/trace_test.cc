@@ -19,12 +19,12 @@ namespace {
 TEST(TraceTest, WriterReaderRoundTrip) {
   MemEnv env;
   TraceWriter writer(&env);
-  ASSERT_TRUE(writer.Open("/trace", /*base_ts_us=*/1000).ok());
-  ASSERT_TRUE(writer.AddRecord(TraceOp::kPut, 1010, 7, "alpha", 128).ok());
-  ASSERT_TRUE(writer.AddRecord(TraceOp::kDelete, 1020, 7, "beta", 0).ok());
-  ASSERT_TRUE(writer.AddRecord(TraceOp::kGet, 1030, 9, "gamma", 0).ok());
+  ASSERT_TRUE(writer.Start("/trace", /*base_ts_us=*/1000).ok());
+  writer.AddRecord(TraceOp::kPut, 1010, 7, "alpha", 128);
+  writer.AddRecord(TraceOp::kDelete, 1020, 7, "beta", 0);
+  writer.AddRecord(TraceOp::kGet, 1030, 9, "gamma", 0);
   EXPECT_EQ(writer.records(), 3u);
-  ASSERT_TRUE(writer.Close().ok());
+  ASSERT_TRUE(writer.Stop(nullptr).ok());
 
   TraceReader reader(&env);
   ASSERT_TRUE(reader.Open("/trace").ok());
@@ -55,10 +55,9 @@ TEST(TraceTest, WriterReaderRoundTrip) {
 TEST(TraceTest, CorruptionDetected) {
   MemEnv env;
   TraceWriter writer(&env);
-  ASSERT_TRUE(writer.Open("/trace", 0).ok());
-  ASSERT_TRUE(
-      writer.AddRecord(TraceOp::kPut, 10, 1, "somekey", 64).ok());
-  ASSERT_TRUE(writer.Close().ok());
+  ASSERT_TRUE(writer.Start("/trace", 0).ok());
+  writer.AddRecord(TraceOp::kPut, 10, 1, "somekey", 64);
+  ASSERT_TRUE(writer.Stop(nullptr).ok());
 
   std::string contents;
   ASSERT_TRUE(env.ReadFileToString("/trace", &contents).ok());
@@ -158,11 +157,11 @@ TEST(TraceTest, CapturedFillReplaysToIdenticalKeyCount) {
 TEST(TraceTest, TimedReplayPreservesVirtualSpan) {
   MemEnv env;
   TraceWriter writer(&env);
-  ASSERT_TRUE(writer.Open("/trace", 0).ok());
+  ASSERT_TRUE(writer.Start("/trace", 0).ok());
   // Two ops 2 virtual seconds apart.
-  ASSERT_TRUE(writer.AddRecord(TraceOp::kPut, 0, 1, "a", 16).ok());
-  ASSERT_TRUE(writer.AddRecord(TraceOp::kPut, 2'000'000, 1, "b", 16).ok());
-  ASSERT_TRUE(writer.Close().ok());
+  writer.AddRecord(TraceOp::kPut, 0, 1, "a", 16);
+  writer.AddRecord(TraceOp::kPut, 2'000'000, 1, "b", 16);
+  ASSERT_TRUE(writer.Stop(nullptr).ok());
 
   auto hw = HardwareProfile::Make(2, 4, DeviceModel::NvmeSsd());
   auto sim = std::make_unique<SimEnv>(hw, 5);
