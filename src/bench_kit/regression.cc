@@ -128,7 +128,7 @@ std::string MatrixReport::ToJson() const {
   json::Object doc;
   doc["kind"] = "bench_matrix";
   doc["schema_version"] = schema_version;
-  doc["git_sha"] = git_sha;
+  doc["build"] = build;
   doc["sim_seed"] = static_cast<int64_t>(seed);
   doc["mode"] = mode;
   json::Object cell_obj;
@@ -160,9 +160,9 @@ Status MatrixReport::FromJson(const std::string& text, MatrixReport* out) {
   } else {
     out->schema_version = 0;  // pre-versioned file; comparison refuses it
   }
-  if (const json::Value* v = doc.Find("git_sha");
+  if (const json::Value* v = doc.Find("build");
       v != nullptr && v->is_string()) {
-    out->git_sha = v->as_string();
+    out->build = v->as_string();
   }
   if (const json::Value* v = doc.Find("sim_seed");
       v != nullptr && v->is_number()) {
@@ -207,7 +207,7 @@ MatrixReport RunMatrix(
     const std::function<void(const MatrixCell&, const BenchResult&)>&
         on_result) {
   MatrixReport report;
-  report.git_sha = BuildGitSha();
+  report.build = BuildStamp();
   report.seed = seed;
   report.mode = mode;
   for (const auto& cell : cells) {
@@ -247,8 +247,8 @@ CompareReport CompareMatrix(const MatrixReport& baseline,
                             const MatrixReport& current,
                             const RegressionThresholds& thresholds) {
   CompareReport out;
-  out.baseline_git_sha = baseline.git_sha;
-  out.current_git_sha = current.git_sha;
+  out.baseline_build = baseline.build;
+  out.current_build = current.build;
 
   if (baseline.schema_version != current.schema_version) {
     out.incomparable_reason =
@@ -328,7 +328,7 @@ std::string CompareReport::ToText() const {
     return "INCOMPARABLE: " + incomparable_reason + "\n";
   }
   snprintf(buf, sizeof(buf), "baseline %s vs current %s\n",
-           baseline_git_sha.c_str(), current_git_sha.c_str());
+           baseline_build.c_str(), current_build.c_str());
   out += buf;
   out +=
       "cell                           metric          baseline     "
@@ -365,8 +365,8 @@ std::string CompareReport::ToJson() const {
   doc["kind"] = "bench_matrix_diff";
   doc["comparable"] = comparable;
   doc["incomparable_reason"] = incomparable_reason;
-  doc["baseline_git_sha"] = baseline_git_sha;
-  doc["current_git_sha"] = current_git_sha;
+  doc["baseline_build"] = baseline_build;
+  doc["current_build"] = current_build;
   doc["has_breach"] = HasBreach();
   json::Array deltas_arr;
   for (const auto& d : deltas) {

@@ -42,7 +42,7 @@ MetricMap MetricsFromResult(const BenchResult& r);
 
 struct MatrixReport {
   int schema_version = kBenchSchemaVersion;
-  std::string git_sha;
+  std::string build;  // BuildStamp() of the binary that wrote it
   uint64_t seed = 0;
   std::string mode;  // "quick" | "full"
   // Insertion order preserved (matrix order) for readable reports.
@@ -98,8 +98,8 @@ struct CompareReport {
   std::string incomparable_reason;
 
   // Metadata of the two sides, echoed for the report header.
-  std::string baseline_git_sha;
-  std::string current_git_sha;
+  std::string baseline_build;
+  std::string current_build;
 
   std::vector<MetricDelta> deltas;
   // Cells/metrics present in the baseline but absent from the current

@@ -9,11 +9,11 @@
 
 namespace elmo::bench {
 
-#ifndef ELMO_GIT_SHA
-#define ELMO_GIT_SHA "unknown"
+#ifndef ELMO_BUILD_STAMP
+#define ELMO_BUILD_STAMP "unknown"
 #endif
 
-const char* BuildGitSha() { return ELMO_GIT_SHA; }
+const char* BuildStamp() { return ELMO_BUILD_STAMP; }
 
 std::string TimeSeriesTable(const std::vector<lsm::IntervalSample>& samples,
                             size_t max_rows) {
@@ -126,10 +126,10 @@ std::string BenchResult::ToReport() const {
 std::string BenchResult::ToJson() const {
   json::Object doc;
   // Self-description first: every BENCH artifact carries the schema
-  // version, the build's git revision and the SimEnv seed, so files
+  // version, the toolchain that built it and the SimEnv seed, so files
   // from different PRs are comparable (or provably not).
   doc["schema_version"] = kBenchSchemaVersion;
-  doc["git_sha"] = BuildGitSha();
+  doc["build"] = BuildStamp();
   doc["sim_seed"] = static_cast<int64_t>(sim_seed);
   doc["workload"] = workload;
   doc["ops"] = static_cast<int64_t>(ops);

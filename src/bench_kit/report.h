@@ -19,12 +19,12 @@ namespace elmo::bench {
 // BENCH_*.json trajectory files (bench_kit/regression.h). Bump whenever
 // a field is renamed/removed or its semantics change; comparisons across
 // different schema versions are refused, not guessed at.
-inline constexpr int kBenchSchemaVersion = 2;
+inline constexpr int kBenchSchemaVersion = 3;
 
-// Git revision the binary was built from (CMake-injected at configure
-// time; "unknown" outside a git checkout). Metadata only — never part
-// of metric comparisons.
-const char* BuildGitSha();
+// Toolchain the binary was built with: "<compiler id> <version> <build
+// type>", CMake-injected (e.g. "GNU 12.2.0 RelWithDebInfo"). Metadata
+// only — never part of metric comparisons.
+const char* BuildStamp();
 
 struct BenchResult {
   std::string workload;

@@ -476,7 +476,7 @@ std::unique_ptr<Tuner> MakeLlmTuner(const HardwareProfile& hw,
 TournamentReport RunTournament(const TournamentConfig& config) {
   TournamentReport report;
   report.schema_version = bench::kBenchSchemaVersion;
-  report.git_sha = bench::BuildGitSha();
+  report.build = bench::BuildStamp();
   report.seed = config.seed;
   report.hardware = config.hw.Label();
   report.workload = config.workload.Describe();
@@ -577,7 +577,7 @@ std::string TournamentReport::ToJson() const {
   json::Object doc;
   doc["kind"] = "bench_tournament";
   doc["schema_version"] = schema_version;
-  doc["git_sha"] = git_sha;
+  doc["build"] = build;
   doc["sim_seed"] = static_cast<int64_t>(seed);
   doc["hardware"] = hardware;
   doc["workload"] = workload;
@@ -606,7 +606,7 @@ std::string TournamentReport::ToJson() const {
 OnlineVsOfflineReport RunOnlineVsOffline(const OnlineVsOfflineConfig& config) {
   OnlineVsOfflineReport report;
   report.schema_version = bench::kBenchSchemaVersion;
-  report.git_sha = bench::BuildGitSha();
+  report.build = bench::BuildStamp();
   report.seed = config.seed;
   report.hardware = config.hw.Label();
   report.workload = config.workload.Describe();
@@ -712,7 +712,7 @@ std::string OnlineVsOfflineReport::ToJson() const {
   json::Object doc;
   doc["kind"] = "bench_online_vs_offline";
   doc["schema_version"] = schema_version;
-  doc["git_sha"] = git_sha;
+  doc["build"] = build;
   doc["sim_seed"] = static_cast<int64_t>(seed);
   doc["hardware"] = hardware;
   doc["workload"] = workload;

@@ -90,7 +90,7 @@ struct TunerRun {
 
 struct TournamentReport {
   int schema_version = 0;  // filled from kBenchSchemaVersion
-  std::string git_sha;
+  std::string build;  // BuildStamp() of the binary that wrote it
   uint64_t seed = 0;
   std::string hardware;
   std::string workload;
@@ -125,7 +125,7 @@ struct OnlineVsOfflineConfig {
 
 struct OnlineVsOfflineReport {
   int schema_version = 0;
-  std::string git_sha;
+  std::string build;  // BuildStamp() of the binary that wrote it
   uint64_t seed = 0;
   std::string hardware;
   std::string workload;

@@ -13,7 +13,7 @@ namespace {
 // the quick-matrix fillrandom block.
 MatrixReport GoldenBaseline() {
   MatrixReport r;
-  r.git_sha = "baseline000000";
+  r.build = "baseline000000";
   r.seed = 42;
   r.mode = "quick";
   r.cells.emplace_back(
@@ -41,7 +41,7 @@ const MetricDelta* FindDelta(const CompareReport& cmp,
 TEST(CompareMatrix, ImprovementPasses) {
   MatrixReport base = GoldenBaseline();
   MatrixReport cur = GoldenBaseline();
-  cur.git_sha = "current0000000";
+  cur.build = "current0000000";
   // Faster and lower-latency everywhere: never a breach.
   for (auto& [cell, m] : cur.cells) {
     m["ops_per_sec"] *= 1.30;
@@ -174,7 +174,7 @@ TEST(MatrixReport, JsonRoundTrip) {
   MatrixReport parsed;
   ASSERT_TRUE(MatrixReport::FromJson(r.ToJson(), &parsed).ok());
   EXPECT_EQ(parsed.schema_version, r.schema_version);
-  EXPECT_EQ(parsed.git_sha, r.git_sha);
+  EXPECT_EQ(parsed.build, r.build);
   EXPECT_EQ(parsed.seed, r.seed);
   EXPECT_EQ(parsed.mode, r.mode);
   EXPECT_EQ(parsed.MetricsFingerprint(), r.MetricsFingerprint());

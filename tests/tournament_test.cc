@@ -92,7 +92,7 @@ TEST(Tournament, ReportSerializesWithMetadata) {
   const std::string json = report.ToJson();
   EXPECT_NE(json.find("\"kind\": \"bench_tournament\""), std::string::npos);
   EXPECT_NE(json.find("\"schema_version\""), std::string::npos);
-  EXPECT_NE(json.find("\"git_sha\""), std::string::npos);
+  EXPECT_NE(json.find("\"build\""), std::string::npos);
   EXPECT_NE(json.find("\"best_curve\""), std::string::npos);
   const std::string table = report.SummaryTable();
   EXPECT_NE(table.find("| grid"), std::string::npos);
