@@ -109,6 +109,9 @@ Status Table::Open(const TableReadOptions& options,
   rep->file = std::move(file);
   rep->cache_id = options.block_cache ? options.block_cache->NewId() : 0;
   rep->index_handle = footer.index_handle();
+  // A default BlockHandle has size ~0; size 0 is what GetFilter reads as
+  // "no filter" until one is loaded below.
+  rep->filter_handle.set_size(0);
   rep->cache_metadata =
       options.cache_index_and_filter_blocks && options.block_cache != nullptr;
 

@@ -42,6 +42,26 @@ class TableTest : public ::testing::Test {
     return entries;
   }
 
+  // Opens a table built with `build_policy` (may be null) with cached
+  // index/filter blocks and no filter policy; Gets must succeed.
+  void ExpectCachedMetadataServesGets(const FilterPolicy* build_policy) {
+    TableBuildOptions bopts;
+    bopts.filter_policy = build_policy;
+    TableReadOptions ropts;
+    ropts.block_cache = NewLruCache(1 << 20);
+    ropts.cache_index_and_filter_blocks = true;
+    BuildAndOpen(MakeEntries(500), bopts, ropts);
+
+    std::string v;
+    Status s = table_->InternalGet(
+        "key000123",
+        [&](const Slice&, const Slice& val) { v = val.ToString(); });
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ("value123", v);
+    s = table_->InternalGet("key999999x", [](const Slice&, const Slice&) {});
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  }
+
   MemEnv env_;
   uint64_t file_size_ = 0;
   std::unique_ptr<Table> table_;
@@ -128,6 +148,19 @@ TEST_F(TableTest, BlockCachePopulatedAndHit) {
   auto stats2 = ropts.block_cache->GetStats();
   EXPECT_EQ(stats2.hits, stats1.hits + 1);
   EXPECT_EQ(stats2.inserts, stats1.inserts);
+}
+
+// With index/filter blocks in the block cache, a table read without a
+// filter policy must serve Gets: the filter lookup has no handle to
+// follow, whether the table was built without a filter or with one the
+// reader does not use.
+TEST_F(TableTest, CachedMetadataNoFilterPolicyServesGets) {
+  ExpectCachedMetadataServesGets(nullptr);
+}
+
+TEST_F(TableTest, CachedMetadataFilterDroppedOnReopenServesGets) {
+  BloomFilterPolicy policy(10);
+  ExpectCachedMetadataServesGets(&policy);
 }
 
 // The per-thread counts are taken at the lookup itself, so they match
