@@ -7,17 +7,27 @@
 
 namespace elmo::tune {
 
-double ActiveFlagger::WorstP99(const bench::BenchResult& r) {
+namespace {
+
+// A candidate must beat the best throughput by this much to be kept...
+constexpr double kMinGain = 0.005;
+// ...unless it is within kTolerance of it and improves tail latency.
+constexpr double kTolerance = 0.01;
+// A probe below this fraction of the best throughput aborts.
+constexpr double kEarlyAbortFraction = 0.5;
+
+double WorstP99(const bench::BenchResult& r) {
   return std::max(r.p99_write_us(), r.p99_read_us());
 }
 
-FlaggerDecision ActiveFlagger::Judge(
-    const bench::BenchResult& best,
-    const bench::BenchResult& candidate) const {
+}  // namespace
+
+FlaggerDecision ActiveFlagger::Judge(const bench::BenchResult& best,
+                                     const bench::BenchResult& candidate) {
   FlaggerDecision d;
   char buf[256];
 
-  if (candidate.ops_per_sec > best.ops_per_sec * (1.0 + cfg_.min_gain)) {
+  if (candidate.ops_per_sec > best.ops_per_sec * (1.0 + kMinGain)) {
     d.keep = true;
     snprintf(buf, sizeof(buf),
              "throughput improved %.0f -> %.0f ops/sec (+%.1f%%)",
@@ -29,7 +39,7 @@ FlaggerDecision ActiveFlagger::Judge(
 
   const double best_p99 = WorstP99(best);
   const double cand_p99 = WorstP99(candidate);
-  if (candidate.ops_per_sec >= best.ops_per_sec * (1.0 - cfg_.tolerance) &&
+  if (candidate.ops_per_sec >= best.ops_per_sec * (1.0 - kTolerance) &&
       best_p99 > 0 && cand_p99 < best_p99) {
     d.keep = true;
     snprintf(buf, sizeof(buf),
@@ -49,23 +59,18 @@ FlaggerDecision ActiveFlagger::Judge(
   return d;
 }
 
-bool ActiveFlagger::ShouldAbortEarly(const bench::BenchResult& best,
-                                     const bench::BenchResult& probe) const {
-  return JudgeProbe(best, probe).abort;
-}
-
-ProbeVerdict ActiveFlagger::JudgeProbe(
-    const bench::BenchResult& best, const bench::BenchResult& probe) const {
+ProbeVerdict ActiveFlagger::JudgeProbe(const bench::BenchResult& best,
+                                       const bench::BenchResult& probe) {
   ProbeVerdict v;
   if (best.ops_per_sec <= 0) return v;
   char buf[256];
 
-  const double floor = best.ops_per_sec * cfg_.early_abort_fraction;
+  const double floor = best.ops_per_sec * kEarlyAbortFraction;
   if (probe.ops_per_sec < floor) {
     v.abort = true;
     snprintf(buf, sizeof(buf),
              "probe throughput %.0f ops/sec below %.0f%% of best (%.0f)",
-             probe.ops_per_sec, cfg_.early_abort_fraction * 100,
+             probe.ops_per_sec, kEarlyAbortFraction * 100,
              best.ops_per_sec);
     v.reason = buf;
     return v;
@@ -78,9 +83,7 @@ ProbeVerdict ActiveFlagger::JudgeProbe(
   // below the same floor. A workload phase shift near the collapse
   // exonerates the configuration: mixed-phase workloads legitimately
   // drop throughput when the phase turns.
-  if (!cfg_.detect_mid_probe_collapse || probe.timeseries.size() < 6) {
-    return v;
-  }
+  if (probe.timeseries.size() < 6) return v;
   const auto events =
       monitor::DetectSeries(probe.timeseries, monitor::DetectorConfig{});
   const monitor::AnomalyEvent* collapse = nullptr;
@@ -116,7 +119,7 @@ ProbeVerdict ActiveFlagger::JudgeProbe(
              "mid-probe throughput collapse at t=%.1fs: post-shift mean "
              "%.0f ops/sec below %.0f%% of best (%.0f)",
              collapse->ts_us / 1e6, tail_mean,
-             cfg_.early_abort_fraction * 100, best.ops_per_sec);
+             kEarlyAbortFraction * 100, best.ops_per_sec);
     v.reason = buf;
   }
   return v;

@@ -9,22 +9,6 @@
 
 namespace elmo::tune {
 
-struct FlaggerConfig {
-  // Candidate must beat the best throughput by this much to be kept...
-  double min_gain = 0.005;
-  // ...unless it is within `tolerance` and improves tail latency.
-  double tolerance = 0.01;
-  // A probe below this fraction of best throughput aborts + redoes.
-  double early_abort_fraction = 0.5;
-  // Probe time series are additionally screened by the monitor's
-  // changepoint detector: a confirmed downward throughput shift whose
-  // post-shift mean falls below `early_abort_fraction` of best aborts
-  // the run even when the probe's *average* still looks acceptable —
-  // unless the collapse coincides with a workload phase shift (the
-  // drop is then the workload's doing, not the configuration's).
-  bool detect_mid_probe_collapse = true;
-};
-
 struct FlaggerDecision {
   bool keep = false;
   std::string reason;
@@ -38,24 +22,16 @@ struct ProbeVerdict {
 
 class ActiveFlagger {
  public:
-  explicit ActiveFlagger(const FlaggerConfig& config = {})
-      : cfg_(config) {}
+  // Keeps a candidate that beats the best throughput, or one that holds
+  // it while improving tail latency.
+  static FlaggerDecision Judge(const bench::BenchResult& best,
+                               const bench::BenchResult& candidate);
 
-  FlaggerDecision Judge(const bench::BenchResult& best,
-                        const bench::BenchResult& candidate) const;
-
-  bool ShouldAbortEarly(const bench::BenchResult& best,
-                        const bench::BenchResult& probe) const;
-
-  // Full probe screen: the whole-probe throughput check plus the
-  // phase-shift-aware mid-probe collapse detector (see FlaggerConfig).
-  ProbeVerdict JudgeProbe(const bench::BenchResult& best,
-                          const bench::BenchResult& probe) const;
-
- private:
-  static double WorstP99(const bench::BenchResult& r);
-
-  FlaggerConfig cfg_;
+  // The probe screen: aborts a probe whose throughput falls below half
+  // the best's, or whose time series collapses mid-probe to below that
+  // floor with no workload phase shift to blame.
+  static ProbeVerdict JudgeProbe(const bench::BenchResult& best,
+                                 const bench::BenchResult& probe);
 };
 
 }  // namespace elmo::tune

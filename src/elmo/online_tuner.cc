@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "elmo/option_evaluator.h"
+#include "elmo/pipeline.h"
 #include "elmo/prompt_generator.h"
-#include "elmo/safeguard.h"
 #include "lsm/options_schema.h"
-#include "stress_kit/stress_driver.h"
 
 namespace elmo::tune {
 
@@ -19,6 +17,19 @@ namespace {
 constexpr uint64_t kMinByteSize = 64ull << 10;
 constexpr uint64_t kMaxWriteBufferSize = 64ull << 20;
 constexpr uint64_t kMaxBlockCacheSize = 256ull << 20;
+
+// Post-apply samples observed before a surviving delta is kept.
+constexpr int kVerifyWindow = 6;
+// A post-apply sample below kRollbackDropFraction * baseline, with no
+// phase shift within two sampler intervals to blame, is a strike;
+// kStrikesToRollback strikes revert the delta.
+constexpr double kRollbackDropFraction = 0.5;
+constexpr int kStrikesToRollback = 2;
+// Sampler intervals to sit out after a verdict before re-triggering.
+constexpr int kCooldownIntervals = 2;
+// Diagnoses at or above this severity trigger a proposal even without a
+// phase-shift anomaly (the monitor's suggested_options seed it).
+constexpr double kDiagnosisSeverityThreshold = 0.8;
 
 std::string U64(uint64_t v) { return std::to_string(v); }
 
@@ -174,7 +185,7 @@ void OnlineTuner::CheckTrigger(const lsm::IntervalSample& s) {
     // re-fire every interval.
     if (report.diagnoses.empty()) return;
     const monitor::Diagnosis& top = report.diagnoses.front();
-    if (top.severity < cfg_.diagnosis_severity_threshold ||
+    if (top.severity < kDiagnosisSeverityThreshold ||
         top.rule == last_diag_rule_) {
       return;
     }
@@ -205,7 +216,7 @@ void OnlineTuner::CheckTrigger(const lsm::IntervalSample& s) {
     json::Object skip;
     skip["signature"] = sig;
     AddStep(s.ts_us, "oscillation_skip", std::move(skip));
-    cooldown_left_ = cfg_.cooldown_intervals;
+    cooldown_left_ = kCooldownIntervals;
     return;
   }
 
@@ -225,58 +236,58 @@ std::map<std::string, std::string> OnlineTuner::ProposeDelta(
     const lsm::IntervalSample& s, const std::string& trigger,
     const std::vector<monitor::Diagnosis>& diagnoses,
     std::string* origin) {
+  auto fit = [this](std::map<std::string, std::string> delta) {
+    ClampToBudget(&delta);
+    DropNoOps(&delta);
+    return delta;
+  };
+  std::map<std::string, std::string> delta;
+  if (llm_ != nullptr) delta = fit(LlmDelta(trigger));
+  *origin = delta.empty() ? "heuristic" : "llm";
+  return delta.empty() ? fit(HeuristicDelta(s, diagnoses)) : delta;
+}
+
+std::map<std::string, std::string> OnlineTuner::LlmDelta(
+    const std::string& trigger) {
   const lsm::OptionsSchema& schema = lsm::OptionsSchema::Instance();
   const lsm::Options& cur = db_->options();
+  LiveDeltaInputs in;
+  in.trigger_description = trigger;
+  in.memory_budget_bytes = cfg_.memory_budget_bytes;
+  in.mutable_options = schema.DescribeMutable(cur);
+  in.recent_samples.assign(recent_.begin(), recent_.end());
+  monitor::HealthReport report;
+  if (ReadHealth(&report)) in.health_evidence = report.ToText();
+  in.delta_history = delta_history_;
 
-  if (llm_ != nullptr) {
-    LiveDeltaInputs in;
-    in.trigger_description = trigger;
-    in.memory_budget_bytes = cfg_.memory_budget_bytes;
-    in.mutable_options = schema.DescribeMutable(cur);
-    in.recent_samples.assign(recent_.begin(), recent_.end());
-    monitor::HealthReport report;
-    if (ReadHealth(&report)) in.health_evidence = report.ToText();
-    in.delta_history = delta_history_;
-
-    std::vector<llm::ChatMessage> messages;
-    messages.push_back({"system", PromptGenerator::SystemMessage()});
-    messages.push_back({"user", PromptGenerator::GenerateLiveDelta(in)});
-    std::string response;
-    if (llm_->Complete(messages, &response).ok()) {
-      // Same vetting pipeline as the offline loop, then restricted to
-      // the runtime-mutable subset — anything else SetOptions would
-      // reject, so it never reaches the engine.
-      SafeguardEnforcer safeguard(cfg_.extra_blacklist);
-      lsm::Options scratch = cur;
-      SafeguardReport vetted =
-          safeguard.Validate(cur, OptionEvaluator::Extract(response).pairs,
-                             &scratch);
-      std::map<std::string, std::string> delta;
-      for (const auto& [name, value] : vetted.applied) {
-        const lsm::OptionInfo* info = schema.Find(name);
-        if (info == nullptr || !info->runtime_mutable) continue;
-        delta[name] = value;
-      }
-      ClampToBudget(&delta);
-      for (auto it = delta.begin(); it != delta.end();) {
-        const lsm::OptionInfo* info = schema.Find(it->first);
-        it = info->get(cur) == it->second ? delta.erase(it) : ++it;
-      }
-      if (!delta.empty()) {
-        *origin = "llm";
-        return delta;
-      }
-    }
+  // Same vetting pipeline as the offline loop, then restricted to the
+  // runtime-mutable subset — anything else SetOptions would reject, so
+  // it never reaches the engine.
+  std::vector<llm::ChatMessage> chat;
+  chat.push_back({"system", PromptGenerator::SystemMessage()});
+  Proposal proposal;
+  std::map<std::string, std::string> delta;
+  if (!Propose(llm_, SafeguardEnforcer(), cur,
+               PromptGenerator::GenerateLiveDelta(in), &chat, &proposal)
+           .ok()) {
+    return delta;
   }
-
-  *origin = "heuristic";
-  std::map<std::string, std::string> delta = HeuristicDelta(s, diagnoses);
-  ClampToBudget(&delta);
-  for (auto it = delta.begin(); it != delta.end();) {
-    const lsm::OptionInfo* info = schema.Find(it->first);
-    it = info->get(cur) == it->second ? delta.erase(it) : ++it;
+  for (const auto& [name, value] : proposal.report.applied) {
+    const lsm::OptionInfo* info = schema.Find(name);
+    if (info != nullptr && info->runtime_mutable) delta[name] = value;
   }
   return delta;
+}
+
+void OnlineTuner::DropNoOps(
+    std::map<std::string, std::string>* delta) const {
+  const lsm::OptionsSchema& schema = lsm::OptionsSchema::Instance();
+  const lsm::Options& cur = db_->options();
+  for (auto it = delta->begin(); it != delta->end();) {
+    const lsm::OptionInfo* info = schema.Find(it->first);
+    it = info != nullptr && info->get(cur) == it->second ? delta->erase(it)
+                                                         : ++it;
+  }
 }
 
 void OnlineTuner::ClampToBudget(
@@ -320,7 +331,7 @@ std::map<std::string, std::string> OnlineTuner::HeuristicDelta(
   // Diagnosis-directed fixes first: the monitor already named the
   // bottleneck and the options to move.
   if (!diagnoses.empty() &&
-      diagnoses.front().severity >= cfg_.diagnosis_severity_threshold) {
+      diagnoses.front().severity >= kDiagnosisSeverityThreshold) {
     const std::string& rule = diagnoses.front().rule;
     if (rule.find("backlog") != std::string::npos ||
         rule.find("l0") != std::string::npos) {
@@ -391,15 +402,7 @@ std::map<std::string, std::string> OnlineTuner::HeuristicDelta(
   }
 
   // Drop no-ops so a repeated phase does not record empty applies.
-  const lsm::OptionsSchema& schema = lsm::OptionsSchema::Instance();
-  for (auto it = d.begin(); it != d.end();) {
-    const lsm::OptionInfo* info = schema.Find(it->first);
-    if (info != nullptr && info->get(cur) == it->second) {
-      it = d.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  DropNoOps(&d);
   return d;
 }
 
@@ -416,27 +419,14 @@ void OnlineTuner::ApplyDelta(
     for (const auto& [name, value] : delta) {
       schema.Apply(&candidate, name, value);
     }
-    // Strip live-DB wiring: the stress harness builds its own env, log
-    // and listeners.
-    candidate.env = nullptr;
-    candidate.info_log = nullptr;
-    candidate.listeners.clear();
-    candidate.metrics_export_path.clear();
-    candidate.recover_persisted_options = false;
-    stress::StressConfig scfg;
-    scfg.base_options = candidate;
-    scfg.env_kind = "sim";
-    scfg.seed = cfg_.certify_seed;
-    scfg.ops = cfg_.certify_ops;
-    scfg.crash_cycles = cfg_.certify_crash_cycles;
-    const stress::StressReport sr = stress::RunStress(scfg);
+    const stress::StressReport sr = Certify(candidate, cfg_.certify_ops);
     if (!sr.ok) {
       json::Object fail;
       fail["origin"] = origin;
       fail["result"] = "certify_failed";
       fail["divergence"] = sr.first_divergence;
       AddStep(ts_us, "verdict", std::move(fail));
-      cooldown_left_ = cfg_.cooldown_intervals;
+      cooldown_left_ = kCooldownIntervals;
       return;
     }
   }
@@ -457,7 +447,7 @@ void OnlineTuner::ApplyDelta(
   if (!s.ok()) {
     apply["error"] = s.ToString();
     AddStep(ts_us, "apply", std::move(apply));
-    cooldown_left_ = cfg_.cooldown_intervals;
+    cooldown_left_ = kCooldownIntervals;
     return;
   }
   apply["baseline_ops_per_sec"] = static_cast<int64_t>(baseline);
@@ -506,16 +496,16 @@ void OnlineTuner::VerifySample(const lsm::IntervalSample& s) {
   verify_seen_++;
   const double rate = SampleRate(s);
   if (baseline_rate_ > 0 &&
-      rate < cfg_.rollback_drop_fraction * baseline_rate_ &&
+      rate < kRollbackDropFraction * baseline_rate_ &&
       !PhaseShiftNear(s.ts_us)) {
     // Collapse with nothing else to blame: the delta is the suspect.
     strikes_++;
   }
-  if (strikes_ >= cfg_.strikes_to_rollback) {
+  if (strikes_ >= kStrikesToRollback) {
     Rollback(s);
     return;
   }
-  if (verify_seen_ >= cfg_.verify_window) {
+  if (verify_seen_ >= kVerifyWindow) {
     json::Object verdict;
     verdict["origin"] = active_origin_;
     verdict["result"] = "kept";
@@ -524,7 +514,7 @@ void OnlineTuner::VerifySample(const lsm::IntervalSample& s) {
     verdict["final_ops_per_sec"] = static_cast<int64_t>(rate);
     AddStep(s.ts_us, "verdict", std::move(verdict));
     verifying_ = false;
-    cooldown_left_ = cfg_.cooldown_intervals;
+    cooldown_left_ = kCooldownIntervals;
   }
 }
 
@@ -544,7 +534,7 @@ void OnlineTuner::Rollback(const lsm::IntervalSample& s) {
   rolled_back_.insert(sig);
   rollbacks_++;
   verifying_ = false;
-  cooldown_left_ = cfg_.cooldown_intervals;
+  cooldown_left_ = kCooldownIntervals;
 }
 
 Status OnlineTuner::InjectDelta(

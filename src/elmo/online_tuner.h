@@ -29,19 +29,6 @@
 namespace elmo::tune {
 
 struct OnlineTunerConfig {
-  // Post-apply samples observed before a surviving delta is declared
-  // kept.
-  int verify_window = 6;
-  // A post-apply sample below drop_fraction * baseline — with no phase
-  // shift within two sampler intervals to blame — is a strike;
-  // `strikes_to_rollback` strikes revert the delta.
-  double rollback_drop_fraction = 0.5;
-  int strikes_to_rollback = 2;
-  // Sampler intervals to sit out after a verdict before re-triggering.
-  int cooldown_intervals = 2;
-  // Diagnoses at or above this severity trigger a proposal even without
-  // a phase-shift anomaly (the monitor's suggested_options seed it).
-  double diagnosis_severity_threshold = 0.8;
   // Memory the DB may spend on memtables + block cache combined
   // (Options::ConfiguredMemoryFootprint()). When set, proposals are
   // shrunk to fit before they reach SetOptions, the heuristic shifts
@@ -53,9 +40,6 @@ struct OnlineTunerConfig {
   // (FaultInjectionEnv + crash/reopen cycles) before applying. A config
   // that loses acknowledged writes is never applied. 0 ops disables.
   uint64_t certify_ops = 0;
-  int certify_crash_cycles = 2;
-  uint64_t certify_seed = 42;
-  std::set<std::string> extra_blacklist;  // extends the safeguard's
 };
 
 // One timeline entry; kind is "observe", "propose", "apply",
@@ -109,11 +93,13 @@ class OnlineTuner {
   void VerifySample(const lsm::IntervalSample& s);
 
   // Delta construction: LLM live-delta prompt first (filtered to the
-  // mutable subset), deterministic mix/diagnosis heuristic otherwise.
+  // mutable subset), deterministic mix/diagnosis heuristic otherwise;
+  // either is clamped to the budget and stripped of no-op entries.
   std::map<std::string, std::string> ProposeDelta(
       const lsm::IntervalSample& s, const std::string& trigger,
       const std::vector<monitor::Diagnosis>& diagnoses,
       std::string* origin);
+  std::map<std::string, std::string> LlmDelta(const std::string& trigger);
   std::map<std::string, std::string> HeuristicDelta(
       const lsm::IntervalSample& s,
       const std::vector<monitor::Diagnosis>& diagnoses) const;
@@ -121,6 +107,8 @@ class OnlineTuner {
   // resulting ConfiguredMemoryFootprint() fits memory_budget_bytes;
   // no-op without a budget.
   void ClampToBudget(std::map<std::string, std::string>* delta) const;
+  // Drops entries equal to the live value.
+  void DropNoOps(std::map<std::string, std::string>* delta) const;
 
   // Apply `delta` (certify gate first), arm the verdict machinery.
   void ApplyDelta(const std::map<std::string, std::string>& delta,

@@ -1,9 +1,59 @@
 #include "elmo/prompt_generator.h"
 
-#include "bench_kit/report.h"
 #include "util/string_util.h"
 
 namespace elmo::tune {
+
+namespace {
+
+// A fenced section body, newline-terminated.
+void AppendFenced(const std::string& body, std::string* p) {
+  *p += "```\n" + body;
+  if (!body.empty() && body.back() != '\n') *p += "\n";
+  *p += "```\n\n";
+}
+
+// The sections rendered from the best run so far. The report inlines
+// the full engine statistics dump, so they get no section of their own.
+void AppendEvidence(const bench::BenchResult& r, std::string* p) {
+  *p += "## Last Benchmark Report\n";
+  *p += r.ToReport();
+  *p += "\n";
+
+  if (!r.timeseries.empty()) {
+    *p += "## Telemetry Over The Run\n";
+    *p += "Per-interval engine samples (condensed). Watch for throughput "
+          "collapses, stall spikes, and growing compaction debt:\n";
+    AppendFenced(bench::TimeSeriesTable(r.timeseries, 12), p);
+  }
+
+  const std::string io_cache = r.IoCacheEvidence();
+  if (!io_cache.empty()) {
+    *p += "## IO & Cache Evidence\n";
+    *p += "Measured device IO attribution and the simulated miss-ratio "
+          "curve from the engine's traces:\n";
+    AppendFenced(io_cache, p);
+  }
+
+  const std::string latency = r.LatencyAttributionEvidence();
+  if (!latency.empty()) {
+    *p += "## Latency Attribution Evidence\n";
+    *p += "Per-op latency percentiles from the span trace, with the p99 "
+          "tail decomposed into engine-phase self-time shares:\n";
+    AppendFenced(latency, p);
+  }
+
+  const std::string health = r.HealthEvidence();
+  if (!health.empty()) {
+    *p += "## Health & Diagnosis Evidence\n";
+    *p += "The engine's live monitor ran during the benchmark. Its "
+          "anomaly events and ranked root-cause diagnoses (each with "
+          "suggested options to revisit):\n";
+    AppendFenced(health, p);
+  }
+}
+
+}  // namespace
 
 std::string PromptGenerator::SystemMessage() {
   return
@@ -31,57 +81,7 @@ std::string PromptGenerator::Generate(const PromptInputs& in) {
   p += "## Current Configuration\n";
   p += "```ini\n" + in.current_options_ini + "```\n\n";
 
-  if (!in.last_benchmark_report.empty()) {
-    p += "## Last Benchmark Report\n";
-    p += in.last_benchmark_report;
-    p += "\n";
-  }
-
-  // Skip the standalone section when the report above already embeds
-  // the same dump (BenchResult::ToReport inlines engine_stats).
-  if (!in.engine_telemetry.empty() &&
-      in.last_benchmark_report.find(in.engine_telemetry) ==
-          std::string::npos) {
-    p += "## Engine Telemetry\n";
-    p += "```\n" + in.engine_telemetry;
-    if (in.engine_telemetry.back() != '\n') p += "\n";
-    p += "```\n\n";
-  }
-
-  if (!in.timeseries.empty()) {
-    p += "## Telemetry Over The Run\n";
-    p += "Per-interval engine samples (condensed). Watch for throughput "
-         "collapses, stall spikes, and growing compaction debt:\n";
-    p += "```\n" + bench::TimeSeriesTable(in.timeseries, 12) + "```\n\n";
-  }
-
-  if (!in.io_cache_evidence.empty()) {
-    p += "## IO & Cache Evidence\n";
-    p += "Measured device IO attribution and the simulated miss-ratio "
-         "curve from the engine's traces:\n";
-    p += "```\n" + in.io_cache_evidence;
-    if (in.io_cache_evidence.back() != '\n') p += "\n";
-    p += "```\n\n";
-  }
-
-  if (!in.latency_attribution.empty()) {
-    p += "## Latency Attribution Evidence\n";
-    p += "Per-op latency percentiles from the span trace, with the p99 "
-         "tail decomposed into engine-phase self-time shares:\n";
-    p += "```\n" + in.latency_attribution;
-    if (in.latency_attribution.back() != '\n') p += "\n";
-    p += "```\n\n";
-  }
-
-  if (!in.health_evidence.empty()) {
-    p += "## Health & Diagnosis Evidence\n";
-    p += "The engine's live monitor ran during the benchmark. Its "
-         "anomaly events and ranked root-cause diagnoses (each with "
-         "suggested options to revisit):\n";
-    p += "```\n" + in.health_evidence;
-    if (in.health_evidence.back() != '\n') p += "\n";
-    p += "```\n\n";
-  }
+  if (in.best != nullptr) AppendEvidence(*in.best, &p);
 
   if (!in.deterioration_note.empty()) {
     p += "## Feedback\n";
@@ -145,23 +145,17 @@ std::string PromptGenerator::GenerateLiveDelta(const LiveDeltaInputs& in) {
   }
 
   p += "## Runtime-Mutable Options (current values)\n";
-  p += "```\n" + in.mutable_options;
-  if (!in.mutable_options.empty() && in.mutable_options.back() != '\n') {
-    p += "\n";
-  }
-  p += "```\n\n";
+  AppendFenced(in.mutable_options, &p);
 
   if (!in.recent_samples.empty()) {
     p += "## Recent Telemetry\n";
     p += "The engine's last sampled intervals (newest last):\n";
-    p += "```\n" + bench::TimeSeriesTable(in.recent_samples, 12) + "```\n\n";
+    AppendFenced(bench::TimeSeriesTable(in.recent_samples, 12), &p);
   }
 
   if (!in.health_evidence.empty()) {
     p += "## Health & Diagnosis Evidence\n";
-    p += "```\n" + in.health_evidence;
-    if (in.health_evidence.back() != '\n') p += "\n";
-    p += "```\n\n";
+    AppendFenced(in.health_evidence, &p);
   }
 
   if (!in.delta_history.empty()) {

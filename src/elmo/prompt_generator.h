@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_kit/report.h"
 #include "bench_kit/workload.h"
 #include "lsm/stats_sampler.h"
 #include "sysinfo/system_probe.h"
@@ -18,32 +19,10 @@ struct PromptInputs {
   sysinfo::SystemProfile system;
   std::string workload_description;
   std::string current_options_ini;   // the best-known options file text
-  std::string last_benchmark_report; // raw report text
-  // Full engine telemetry dump ("elmo.stats": tickers, stall reasons,
-  // latency histograms, per-level read/write-amp table) from the best
-  // run so far — richer signal than the report summary alone.
-  std::string engine_telemetry;
-  // Per-interval samples from the best run's StatsSampler; rendered as
-  // a condensed throughput-over-time table so the LLM sees the *shape*
-  // of the run (warmup, stall cliffs, compaction backlog growth), not
-  // just end-of-run aggregates.
-  std::vector<lsm::IntervalSample> timeseries;
-  // Offline-analyzer evidence from the best run's IO and block-cache
-  // traces (BenchResult::IoCacheEvidence()): per-kind/per-context IO
-  // byte breakdown plus the simulated miss-ratio-vs-capacity curve, so
-  // the LLM can argue about block_cache_size/bloom settings from
-  // measured device traffic instead of guessing.
-  std::string io_cache_evidence;
-  // Per-op p99 latency decomposition from the best run's span trace
-  // (BenchResult::LatencyAttributionEvidence()): which engine phase —
-  // WAL sync, memtable, stalls, SST probes — owns the tail, so the LLM
-  // targets the component that actually hurts instead of guessing.
-  std::string latency_attribution;
-  // Live-monitor verdict from the best run
-  // (BenchResult::HealthEvidence()): health status, detected anomalies
-  // and the ranked root-cause diagnoses with their suggested options —
-  // the monitor's opinion of *why* the run behaved the way it did.
-  std::string health_evidence;
+  // The best run so far. Its report, telemetry over time, IO & cache,
+  // latency-attribution and health evidence each become a prompt
+  // section; null leaves them all out.
+  const bench::BenchResult* best = nullptr;
   // Set when the previous iteration was reverted (the paper's
   // "intermediate prompt with the information about deterioration").
   std::string deterioration_note;

@@ -7,14 +7,12 @@
 #include <set>
 
 #include "elmo/online_tuner.h"
-#include "elmo/option_evaluator.h"
+#include "elmo/pipeline.h"
 #include "elmo/prompt_generator.h"
-#include "elmo/safeguard.h"
 #include "env/sim_env.h"
 #include "llm/expert_llm.h"
 #include "lsm/cost_model.h"
 #include "lsm/options_schema.h"
-#include "sysinfo/system_probe.h"
 #include "util/json.h"
 #include "util/random.h"
 
@@ -377,13 +375,11 @@ class LlmTuner : public Tuner {
  public:
   LlmTuner(const HardwareProfile& hw, const WorkloadSpec& workload,
            uint64_t seed)
-      : hw_(hw), workload_(workload) {
+      : workload_(workload), profile_(ProbeSystem(hw)) {
     llm::ExpertConfig ecfg;
     ecfg.seed = seed;
     llm_ = std::make_unique<llm::SimulatedExpertLlm>(ecfg);
     chat_.push_back({"system", PromptGenerator::SystemMessage()});
-    SimEnv probe_env(hw_, /*seed=*/1);
-    profile_ = sysinfo::SystemProbe::Collect(&probe_env, "/probe");
   }
 
   const char* Name() const override { return "llm"; }
@@ -398,13 +394,7 @@ class LlmTuner : public Tuner {
     inputs.workload_description = workload_.Describe();
     inputs.current_options_ini =
         OptionsSchema::Instance().ToIniText(best_obs.options);
-    inputs.last_benchmark_report = best_obs.result.ToReport();
-    inputs.engine_telemetry = best_obs.result.engine_stats;
-    inputs.timeseries = best_obs.result.timeseries;
-    inputs.io_cache_evidence = best_obs.result.IoCacheEvidence();
-    inputs.latency_attribution =
-        best_obs.result.LatencyAttributionEvidence();
-    inputs.health_evidence = best_obs.result.HealthEvidence();
+    inputs.best = &best_obs.result;
     for (size_t i = 0; i < history.size(); i++) {
       char line[128];
       snprintf(line, sizeof(line), "Iteration %zu: %.0f ops/sec%s", i,
@@ -422,26 +412,19 @@ class LlmTuner : public Tuner {
       inputs.locked_options.push_back(name);
     }
 
-    chat_.push_back({"user", PromptGenerator::Generate(inputs)});
-    std::string response;
-    Status s = llm_->Complete(chat_, &response);
-    if (!s.ok()) return best_obs.options;
-    chat_.push_back({"assistant", response});
-
-    ExtractedProposals proposals = OptionEvaluator::Extract(response);
-    Options candidate;
-    SafeguardReport report =
-        safeguard_.Validate(best_obs.options, proposals.pairs, &candidate);
-    if (report.applied.empty()) {
-      // Unusable response: the trial is spent re-measuring the best
-      // config — format breaks cost the LLM budget, as in the paper.
+    // An unusable response spends the trial re-measuring the best
+    // config — format breaks cost the LLM budget, as in the paper.
+    Proposal proposal;
+    if (!tune::Propose(llm_.get(), safeguard_, best_obs.options,
+                       PromptGenerator::Generate(inputs), &chat_, &proposal)
+             .ok() ||
+        proposal.report.applied.empty()) {
       return best_obs.options;
     }
-    return candidate;
+    return proposal.candidate;
   }
 
  private:
-  HardwareProfile hw_;
   WorkloadSpec workload_;
   std::unique_ptr<llm::SimulatedExpertLlm> llm_;
   SafeguardEnforcer safeguard_;

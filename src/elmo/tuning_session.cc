@@ -2,12 +2,10 @@
 
 #include <cstdio>
 
-#include "elmo/option_evaluator.h"
+#include "elmo/active_flagger.h"
+#include "elmo/pipeline.h"
 #include "elmo/prompt_generator.h"
-#include "env/sim_env.h"
 #include "lsm/options_schema.h"
-#include "stress_kit/stress_driver.h"
-#include "sysinfo/system_probe.h"
 
 namespace elmo::tune {
 
@@ -22,16 +20,8 @@ TuningSession::TuningSession(bench::BenchRunner* runner,
 
 TuningOutcome TuningSession::Run(const Options& initial) {
   TuningOutcome outcome;
-  SafeguardEnforcer safeguard(cfg_.extra_blacklist);
-  ActiveFlagger flagger(cfg_.flagger);
-
-  // Probe the hardware once (own throwaway SimEnv so the probe does not
-  // disturb benchmark clocks).
-  sysinfo::SystemProfile profile;
-  {
-    SimEnv probe_env(runner_->hardware(), /*seed=*/1);
-    profile = sysinfo::SystemProbe::Collect(&probe_env, "/probe");
-  }
+  const SafeguardEnforcer safeguard;
+  const sysinfo::SystemProfile profile = ProbeSystem(runner_->hardware());
 
   // Iteration 0: the out-of-box configuration.
   Options best_options = initial;
@@ -50,7 +40,6 @@ TuningOutcome TuningSession::Run(const Options& initial) {
   }
 
   std::string deterioration_note;
-  int non_improvements = 0;
 
   for (int it = 1; it <= cfg_.max_iterations; it++) {
     IterationRecord rec;
@@ -62,12 +51,7 @@ TuningOutcome TuningSession::Run(const Options& initial) {
     inputs.workload_description = workload_.Describe();
     inputs.current_options_ini =
         OptionsSchema::Instance().ToIniText(best_options);
-    inputs.last_benchmark_report = best_result.ToReport();
-    inputs.engine_telemetry = best_result.engine_stats;
-    inputs.timeseries = best_result.timeseries;
-    inputs.io_cache_evidence = best_result.IoCacheEvidence();
-    inputs.latency_attribution = best_result.LatencyAttributionEvidence();
-    inputs.health_evidence = best_result.HealthEvidence();
+    inputs.best = &best_result;
     inputs.deterioration_note = deterioration_note;
     inputs.history = history;
     for (const auto& name : safeguard.blacklist()) {
@@ -76,23 +60,18 @@ TuningOutcome TuningSession::Run(const Options& initial) {
     rec.prompt = PromptGenerator::Generate(inputs);
     deterioration_note.clear();
 
-    chat.push_back({"user", rec.prompt});
-    Status s = llm_->Complete(chat, &rec.response);
+    Proposal proposal;
+    Status s = Propose(llm_, safeguard, best_options, rec.prompt, &chat,
+                       &proposal);
+    rec.response = std::move(proposal.response);
     if (!s.ok()) {
       rec.decision_reason = "LLM call failed: " + s.ToString();
       rec.kept = false;
       outcome.iterations.push_back(std::move(rec));
       break;
     }
-    chat.push_back({"assistant", rec.response});
-
-    ExtractedProposals proposals = OptionEvaluator::Extract(rec.response);
-    Options candidate;
-    rec.safeguard = safeguard.Validate(best_options, proposals.pairs,
-                                       &candidate);
-    rec.safeguard.format_ok =
-        rec.safeguard.format_ok && (proposals.had_code_block ||
-                                    !proposals.pairs.empty());
+    rec.safeguard = std::move(proposal.report);
+    const Options& candidate = proposal.candidate;
 
     if (rec.safeguard.applied.empty()) {
       // Nothing usable came back (pure hallucination / format break):
@@ -116,54 +95,44 @@ TuningOutcome TuningSession::Run(const Options& initial) {
 
     // Benchmark monitor: quick probe first; a collapsing config is
     // aborted and reported back without paying for a full run.
-    if (cfg_.probe_fraction > 0) {
-      uint64_t probe_ops = static_cast<uint64_t>(
-          workload_.num_ops * cfg_.probe_fraction);
-      if (probe_ops >= 100) {
-        bench::BenchResult probe =
-            runner_->RunProbe(workload_, candidate, probe_ops);
-        if (flagger.ShouldAbortEarly(best_result, probe)) {
-          rec.early_aborted = true;
-          rec.kept = false;
-          rec.result = probe;
-          char buf[160];
-          snprintf(buf, sizeof(buf),
-                   "early monitor abort: probe ran at %.0f ops/sec vs "
-                   "best %.0f; reverting",
-                   probe.ops_per_sec, best_result.ops_per_sec);
-          rec.decision_reason = buf;
-          deterioration_note =
-              "The configuration you proposed DECREASED performance "
-              "sharply (probe at " +
-              std::to_string((long long)probe.ops_per_sec) +
-              " ops/sec vs best " +
-              std::to_string((long long)best_result.ops_per_sec) +
-              ") and was reverted. Please take a different, more "
-              "conservative direction.";
-          history.push_back("Iteration " + std::to_string(it) +
-                            ": reverted (early abort)");
-          non_improvements++;
-          outcome.iterations.push_back(std::move(rec));
-          if (non_improvements >= cfg_.patience) break;
-          continue;
-        }
+    const uint64_t probe_ops =
+        cfg_.probe_fraction > 0
+            ? static_cast<uint64_t>(workload_.num_ops * cfg_.probe_fraction)
+            : 0;
+    if (probe_ops >= 100) {
+      bench::BenchResult probe =
+          runner_->RunProbe(workload_, candidate, probe_ops);
+      const ProbeVerdict verdict =
+          ActiveFlagger::JudgeProbe(best_result, probe);
+      if (verdict.abort) {
+        rec.early_aborted = true;
+        rec.kept = false;
+        rec.result = probe;
+        rec.decision_reason =
+            "early monitor abort: " + verdict.reason + "; reverting";
+        deterioration_note =
+            "The configuration you proposed DECREASED performance "
+            "sharply (probe at " +
+            std::to_string((long long)probe.ops_per_sec) +
+            " ops/sec vs best " +
+            std::to_string((long long)best_result.ops_per_sec) +
+            ") and was reverted. Please take a different, more "
+            "conservative direction.";
+        history.push_back("Iteration " + std::to_string(it) +
+                          ": reverted (early abort)");
+        outcome.iterations.push_back(std::move(rec));
+        continue;
       }
     }
 
     rec.result = runner_->Run(workload_, candidate);
-    FlaggerDecision decision = flagger.Judge(best_result, rec.result);
+    FlaggerDecision decision = ActiveFlagger::Judge(best_result, rec.result);
 
     // A faster configuration still has to survive crash certification
     // before it can become the new best: the stress harness crashes and
     // recovers it under FaultInjectionEnv and checks the oracle.
     if (decision.keep && cfg_.certify_ops > 0) {
-      stress::StressConfig scfg;
-      scfg.seed = cfg_.certify_seed;
-      scfg.ops = cfg_.certify_ops;
-      scfg.crash_cycles = cfg_.certify_crash_cycles;
-      scfg.base_options = candidate;
-      scfg.db_path = "/certify_db";
-      const stress::StressReport sr = stress::RunStress(scfg);
+      const stress::StressReport sr = Certify(candidate, cfg_.certify_ops);
       if (sr.ok) {
         rec.certify_summary = "certified: ok";
       } else {
@@ -182,11 +151,9 @@ TuningOutcome TuningSession::Run(const Options& initial) {
     if (decision.keep) {
       best_options = candidate;
       best_result = rec.result;
-      non_improvements = 0;
       snprintf(line, sizeof(line), "Iteration %d: %.0f ops/sec (kept)",
                it, rec.result.ops_per_sec);
     } else {
-      non_improvements++;
       deterioration_note =
           "The previous configuration DECREASED performance (" +
           decision.reason +
@@ -198,7 +165,6 @@ TuningOutcome TuningSession::Run(const Options& initial) {
     }
     history.push_back(line);
     outcome.iterations.push_back(std::move(rec));
-    if (non_improvements >= cfg_.patience) break;
   }
 
   outcome.best_options = best_options;

@@ -4,9 +4,9 @@
 //   benchmark (with early-stop monitor) -> Active Flagger ->
 //   keep / revert -> next prompt,
 //
-// until a stopping criterion (max iterations or sustained lack of
-// improvement) is met. The full per-iteration history is retained so
-// the benches can regenerate the paper's Figures 3/4 and Table 5.
+// for max_iterations iterations. The full per-iteration history is
+// retained so the benches can regenerate the paper's Figures 3/4 and
+// Table 5.
 #pragma once
 
 #include <map>
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "bench_kit/bench_runner.h"
-#include "elmo/active_flagger.h"
 #include "elmo/safeguard.h"
 #include "llm/llm_client.h"
 
@@ -23,20 +22,14 @@ namespace elmo::tune {
 
 struct TuningConfig {
   int max_iterations = 7;  // the paper converges within 7
-  // Stop early after this many consecutive non-improvements.
-  int patience = 1000;  // effectively off by default, like the paper
   // Early-abort probe: fraction of the workload run before the monitor
   // decides whether to redo (0 disables the probe).
   double probe_fraction = 0.1;
-  FlaggerConfig flagger;
-  std::set<std::string> extra_blacklist;
   // Crash certification: before a winning configuration is kept, run it
   // through the elmo_stress harness (FaultInjectionEnv + crash/reopen
   // cycles + expected-state oracle). A config that loses acknowledged
   // writes is reverted no matter how fast it is. 0 ops disables.
   uint64_t certify_ops = 0;
-  int certify_crash_cycles = 2;
-  uint64_t certify_seed = 42;
 };
 
 struct IterationRecord {

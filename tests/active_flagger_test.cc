@@ -22,53 +22,47 @@ bench::BenchResult Result(double ops, double p99w = 10.0,
 }
 
 TEST(ActiveFlagger, KeepsClearImprovement) {
-  ActiveFlagger flagger;
-  auto d = flagger.Judge(Result(100000), Result(120000));
+  auto d = ActiveFlagger::Judge(Result(100000), Result(120000));
   EXPECT_TRUE(d.keep);
   EXPECT_NE(d.reason.find("improved"), std::string::npos);
 }
 
 TEST(ActiveFlagger, RevertsRegression) {
-  ActiveFlagger flagger;
-  auto d = flagger.Judge(Result(100000), Result(80000));
+  auto d = ActiveFlagger::Judge(Result(100000), Result(80000));
   EXPECT_FALSE(d.keep);
   EXPECT_NE(d.reason.find("reverting"), std::string::npos);
 }
 
 TEST(ActiveFlagger, RevertsFlatResult) {
-  ActiveFlagger flagger;
   // Same throughput, same p99: no reason to churn configs.
-  auto d = flagger.Judge(Result(100000, 10.0), Result(100000, 10.0));
+  auto d = ActiveFlagger::Judge(Result(100000, 10.0), Result(100000, 10.0));
   EXPECT_FALSE(d.keep);
 }
 
 TEST(ActiveFlagger, KeepsTailLatencyWinAtFlatThroughput) {
-  ActiveFlagger flagger;
-  auto d = flagger.Judge(Result(100000, /*p99w=*/50.0),
+  auto d = ActiveFlagger::Judge(Result(100000, /*p99w=*/50.0),
                          Result(99800, /*p99w=*/20.0));
   EXPECT_TRUE(d.keep);
   EXPECT_NE(d.reason.find("p99"), std::string::npos);
 }
 
 TEST(ActiveFlagger, TailWinDoesNotExcuseBigThroughputLoss) {
-  ActiveFlagger flagger;
-  auto d = flagger.Judge(Result(100000, 50.0), Result(80000, 5.0));
+  auto d = ActiveFlagger::Judge(Result(100000, 50.0), Result(80000, 5.0));
   EXPECT_FALSE(d.keep);
 }
 
 TEST(ActiveFlagger, WorstP99ConsidersReads) {
-  ActiveFlagger flagger;
   // Read tail dominates; improving it while writes stay flat counts.
   auto best = Result(100000, 10.0, /*p99r=*/500.0);
   auto cand = Result(99900, 10.0, /*p99r=*/100.0);
-  EXPECT_TRUE(flagger.Judge(best, cand).keep);
+  EXPECT_TRUE(ActiveFlagger::Judge(best, cand).keep);
 }
 
 TEST(ActiveFlagger, EarlyAbortOnCollapse) {
-  ActiveFlagger flagger;
-  EXPECT_TRUE(flagger.ShouldAbortEarly(Result(100000), Result(30000)));
-  EXPECT_FALSE(flagger.ShouldAbortEarly(Result(100000), Result(70000)));
-  EXPECT_FALSE(flagger.ShouldAbortEarly(Result(0), Result(1)));
+  EXPECT_TRUE(ActiveFlagger::JudgeProbe(Result(100000), Result(30000)).abort);
+  EXPECT_FALSE(
+      ActiveFlagger::JudgeProbe(Result(100000), Result(70000)).abort);
+  EXPECT_FALSE(ActiveFlagger::JudgeProbe(Result(0), Result(1)).abort);
 }
 
 // Fabricate a probe whose time series runs at `head_rate` ops/s for
@@ -99,37 +93,26 @@ bench::BenchResult ProbeWithSeries(double overall, double head_rate,
 }
 
 TEST(ActiveFlagger, MidProbeCollapseAbortsDespiteHealthyAverage) {
-  ActiveFlagger flagger;
   // Averages to 70% of best — above the 50% floor — but the run
   // collapsed to 20% partway through and stayed there.
   auto probe = ProbeWithSeries(/*overall=*/70000, /*head_rate=*/100000,
                                /*head=*/8, /*tail_rate=*/20000, /*tail=*/6);
-  auto v = flagger.JudgeProbe(Result(100000), probe);
+  auto v = ActiveFlagger::JudgeProbe(Result(100000), probe);
   EXPECT_TRUE(v.abort);
   EXPECT_NE(v.reason.find("collapse"), std::string::npos);
 }
 
 TEST(ActiveFlagger, StableProbeDoesNotAbort) {
-  ActiveFlagger flagger;
   auto probe = ProbeWithSeries(70000, 70000, 8, 70000, 6);
-  EXPECT_FALSE(flagger.JudgeProbe(Result(100000), probe).abort);
+  EXPECT_FALSE(ActiveFlagger::JudgeProbe(Result(100000), probe).abort);
 }
 
 TEST(ActiveFlagger, PhaseShiftExplainsCollapseNoAbort) {
-  ActiveFlagger flagger;
   // Same throughput collapse, but the tail is a scan phase: the
   // workload changed shape, so the configuration is not condemned.
   auto probe = ProbeWithSeries(70000, 100000, 8, 20000, 6,
                                /*scan_tail=*/true);
-  EXPECT_FALSE(flagger.JudgeProbe(Result(100000), probe).abort);
-}
-
-TEST(ActiveFlagger, ConfigurableThresholds) {
-  FlaggerConfig cfg;
-  cfg.min_gain = 0.5;  // demand +50%
-  ActiveFlagger strict(cfg);
-  EXPECT_FALSE(strict.Judge(Result(100000, 10), Result(120000, 10)).keep);
-  EXPECT_TRUE(strict.Judge(Result(100000, 10), Result(160000, 10)).keep);
+  EXPECT_FALSE(ActiveFlagger::JudgeProbe(Result(100000), probe).abort);
 }
 
 }  // namespace

@@ -467,16 +467,18 @@ TEST(MonitorIntegration, BenchResultCarriesHealthEvidence) {
 }
 
 TEST(MonitorIntegration, PromptIncludesHealthSection) {
+  bench::BenchResult best;
+  best.health_text = "health: warn (12 intervals)\n";
   tune::PromptInputs inputs;
   inputs.workload_description = "fillrandom";
   inputs.current_options_ini = "write_buffer_size = 1048576\n";
-  inputs.health_evidence = "health: warn (12 intervals)\n";
+  inputs.best = &best;
   const std::string prompt = tune::PromptGenerator::Generate(inputs);
   EXPECT_NE(prompt.find("## Health & Diagnosis Evidence"),
             std::string::npos);
   EXPECT_NE(prompt.find("health: warn"), std::string::npos);
   // And absent evidence, no empty section.
-  inputs.health_evidence.clear();
+  best.health_text.clear();
   EXPECT_EQ(tune::PromptGenerator::Generate(inputs)
                 .find("## Health & Diagnosis Evidence"),
             std::string::npos);

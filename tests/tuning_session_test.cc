@@ -71,7 +71,6 @@ TEST(TuningSession, CertifyGateRunsOnKeptCandidates) {
   TuningConfig cfg;
   cfg.max_iterations = 1;
   cfg.certify_ops = 800;  // crash-certify anything the flagger keeps
-  cfg.certify_crash_cycles = 2;
   TuningSession session(&runner, &llm, SmallFill(), cfg);
   auto out = session.Run();
   ASSERT_EQ(1u, out.iterations.size());
@@ -193,64 +192,109 @@ TEST(TuningSession, PromptCarriesAllSections) {
   EXPECT_NE(prompt.find("p99 tail breakdown"), std::string::npos);
 }
 
-TEST(PromptGenerator, TimeseriesRendersTelemetrySection) {
+TEST(TuningSession, PromptHoldsEveryEvidenceSectionOfTheBestRun) {
+  bench::BenchRunner runner(TestHw());
+  llm::ScriptedLlm llm({"```ini\nmax_background_jobs = 4\n```\n"});
+  TuningConfig cfg;
+  cfg.max_iterations = 1;
+  TuningSession session(&runner, &llm, SmallFill(), cfg);
+  auto out = session.Run();
+  // Iteration 1 is prompted with the baseline as the best run.
+  const bench::BenchResult& best = out.baseline;
+  const std::string& prompt = out.iterations[0].prompt;
+  const std::string sections[] = {
+      best.ToReport(),
+      bench::TimeSeriesTable(best.timeseries, 12),
+      best.IoCacheEvidence(),
+      best.LatencyAttributionEvidence(),
+      best.HealthEvidence(),
+  };
+  for (const std::string& section : sections) {
+    ASSERT_FALSE(section.empty());
+    EXPECT_NE(prompt.find(section), std::string::npos) << section;
+  }
+  for (const char* heading :
+       {"## Last Benchmark Report", "## Telemetry Over The Run",
+        "## IO & Cache Evidence", "## Latency Attribution Evidence",
+        "## Health & Diagnosis Evidence"}) {
+    EXPECT_NE(prompt.find(heading), std::string::npos) << heading;
+  }
+}
+
+// Minimal inputs whose evidence comes from `best`.
+PromptInputs InputsFor(const bench::BenchResult& best) {
   PromptInputs in;
   in.iteration = 2;
   in.workload_description = "fillrandom";
   in.current_options_ini = "k = v\n";
+  in.best = &best;
+  return in;
+}
+
+TEST(PromptGenerator, NoBestRunLeavesOutEveryEvidenceSection) {
+  PromptInputs in;
+  in.workload_description = "fillrandom";
+  in.current_options_ini = "k = v\n";
+  const std::string p = PromptGenerator::Generate(in);
+  EXPECT_EQ(p.find("## Last Benchmark Report"), std::string::npos);
+  EXPECT_EQ(p.find("Evidence"), std::string::npos);
+  EXPECT_NE(p.find("## Instructions"), std::string::npos);
+}
+
+TEST(PromptGenerator, TimeseriesRendersTelemetrySection) {
+  bench::BenchResult best;
   lsm::IntervalSample s;
   s.ts_us = 250000;
   s.interval_us = 250000;
   s.ops = 50000;
   s.ops_per_sec = 200000.0;
   s.stall_fraction = 0.25;
-  in.timeseries = {s};
+  best.timeseries = {s};
+  PromptInputs in = InputsFor(best);
   std::string p = PromptGenerator::Generate(in);
   EXPECT_NE(p.find("## Telemetry Over The Run"), std::string::npos);
   EXPECT_NE(p.find("ops/s"), std::string::npos);
   EXPECT_NE(p.find("200000"), std::string::npos);
 
   // Without samples the section is omitted entirely.
-  in.timeseries.clear();
+  best.timeseries.clear();
   p = PromptGenerator::Generate(in);
   EXPECT_EQ(p.find("## Telemetry Over The Run"), std::string::npos);
 }
 
 TEST(PromptGenerator, IoCacheEvidenceSectionRendersWhenPresent) {
-  PromptInputs in;
-  in.iteration = 2;
-  in.workload_description = "readrandom";
-  in.current_options_ini = "k = v\n";
-  in.io_cache_evidence =
+  bench::BenchResult best;
+  best.io_breakdown =
       "Per-kind IO (from the engine's IO trace):\n"
-      "- wal: 10 ops, 4096 bytes (50.0%)\n"
+      "- wal: 10 ops, 4096 bytes (50.0%)\n";
+  best.cache_sim_summary =
       "Miss-ratio curve (ghost LRU replay of the block-cache trace):\n"
       "- 1 MiB: miss 40.0%\n";
+  PromptInputs in = InputsFor(best);
   std::string p = PromptGenerator::Generate(in);
   EXPECT_NE(p.find("## IO & Cache Evidence"), std::string::npos);
   EXPECT_NE(p.find("Per-kind IO"), std::string::npos);
   EXPECT_NE(p.find("Miss-ratio curve"), std::string::npos);
 
   // Without evidence the section is omitted entirely.
-  in.io_cache_evidence.clear();
+  best.io_breakdown.clear();
+  best.cache_sim_summary.clear();
   p = PromptGenerator::Generate(in);
   EXPECT_EQ(p.find("## IO & Cache Evidence"), std::string::npos);
 }
 
 TEST(PromptGenerator, LatencyAttributionSectionRendersWhenPresent) {
-  PromptInputs in;
-  in.iteration = 2;
-  in.workload_description = "fillrandom";
-  in.current_options_ini = "k = v\n";
-  in.latency_attribution =
+  bench::BenchResult best;
+  best.span_attribution_summary =
       "write: p50=9us p99=120us p999=400us | p99 tail breakdown: "
       "wal_sync 62.0% stall_wait 21.0% self 17.0%\n";
+  PromptInputs in = InputsFor(best);
   std::string p = PromptGenerator::Generate(in);
   EXPECT_NE(p.find("## Latency Attribution Evidence"), std::string::npos);
   EXPECT_NE(p.find("wal_sync 62.0%"), std::string::npos);
 
   // Without attribution the section is omitted entirely.
-  in.latency_attribution.clear();
+  best.span_attribution_summary.clear();
   p = PromptGenerator::Generate(in);
   EXPECT_EQ(p.find("## Latency Attribution Evidence"), std::string::npos);
 }
