@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "env/io_trace.h"
@@ -825,17 +826,20 @@ Status DBImpl::StopWrites(std::unique_lock<std::mutex>& l,
     // Jump the virtual clock to the event that may lift the stop: the
     // next auto-resume retry or the next background-job completion.
     const uint64_t now = sim_->NowMicros();
-    const uint64_t next = reason == StallReason::kBackgroundError
-                              ? error_handler_.next_retry_at_us()
-                              : vstall_.NextEventAfter(now);
-    if (next > now) {
-      waited = next - now;
-      sim_->AdvanceTo(next);
-    } else if (reason != StallReason::kBackgroundError) {
+    const std::optional<uint64_t> next =
+        reason == StallReason::kBackgroundError
+            ? error_handler_.next_retry_at_us()
+            : vstall_.NextEventAfter(now);
+    if (!next.has_value()) {
       // No pending completion — should not happen; avoid spinning.
       return Status::Busy("write stop with no pending background job");
     }
-    // A retry already due is attempted by the caller's next pass.
+    if (*next > now) {
+      waited = *next - now;
+      sim_->AdvanceTo(*next);
+    }
+    // A retry or completion already due is taken up by the caller's
+    // next pass: its stall checks apply completions up to now.
   } else {
     // Make sure the job that lifts the stop is queued (both are no-ops
     // during an error episode; the recovery thread signals instead).
@@ -2548,12 +2552,12 @@ void DBImpl::SettleVirtualClockLocked() {
   // REQUIRES: mu_ held, sim mode. Everything ran inline; settle the
   // virtual clock past the last scheduled completion so the stall
   // counters drain.
-  while (vstall_.HasPendingEvents()) {
-    uint64_t now = sim_->NowMicros();
-    uint64_t next = vstall_.NextEventAfter(now);
-    if (next <= now) break;
-    sim_->AdvanceTo(next);
-    vstall_.ProcessUntil(next);
+  while (true) {
+    const uint64_t now = sim_->NowMicros();
+    const std::optional<uint64_t> next = vstall_.NextEventAfter(now);
+    if (!next.has_value() || *next <= now) break;
+    sim_->AdvanceTo(*next);
+    vstall_.ProcessUntil(*next);
   }
 }
 

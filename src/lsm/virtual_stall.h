@@ -10,7 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <queue>
 #include <vector>
 
@@ -52,12 +54,12 @@ class VirtualStallState {
   int imm_count() const { return imm_count_; }
   int l0_count() const { return l0_count_; }
 
-  // Earliest pending completion after `now`; `now` when none pending.
-  uint64_t NextEventAfter(uint64_t now) const {
-    return events_.empty() ? now : std::max(now, events_.top().when);
+  // Earliest pending completion, or `now` when it is already due;
+  // nullopt when nothing is pending.
+  std::optional<uint64_t> NextEventAfter(uint64_t now) const {
+    if (events_.empty()) return std::nullopt;
+    return std::max(now, events_.top().when);
   }
-
-  bool HasPendingEvents() const { return !events_.empty(); }
 
   // Seed the L0 count at DB open (recovered files exist at t=0).
   void SetInitialL0(int n) { l0_count_ = n; }

@@ -7,6 +7,7 @@
 
 #include "env/sim_env.h"
 #include "lsm/db.h"
+#include "lsm/event_listener.h"
 
 namespace elmo::lsm {
 namespace {
@@ -236,6 +237,52 @@ TEST(SimDbTest, CorrectnessUnchangedUnderSim) {
   std::string v;
   ASSERT_TRUE(db->Get({}, "key42", &v).ok());
   EXPECT_EQ("val42", v);
+}
+
+// On every write stop for a full memtable set, moves the virtual clock
+// onto the pending flush's completion. The listener runs after the
+// stall check and before the stop reads the clock, so the completion
+// falls between the two reads (what 2 µs of stop accounting once did
+// to a Fig 3 run).
+class LandFlushInsideStop : public EventListener {
+ public:
+  explicit LandFlushInsideStop(SimEnv* env) : env_(env) {}
+  void OnStallConditionChanged(const StallInfo& info) override {
+    if (info.current != StallCondition::kStopped ||
+        info.reason != StallReason::kMemtableLimit) {
+      return;
+    }
+    env_->AdvanceTo(env_->NextBackgroundCompletionAfter(env_->NowMicros()));
+    stops++;
+  }
+  int stops = 0;
+
+ private:
+  SimEnv* const env_;
+};
+
+TEST(SimDbTest, FlushCompletingInsideAWriteStopLiftsIt) {
+  auto hw = HardwareProfile::Make(2, 4, DeviceModel::SataHdd());
+  auto env = std::make_unique<SimEnv>(hw, 42);
+  auto listener = std::make_shared<LandFlushInsideStop>(env.get());
+  Options o;
+  o.env = env.get();
+  o.create_if_missing = true;
+  o.write_buffer_size = 64 << 10;
+  o.max_write_buffer_number = 2;  // one immutable memtable stops writes
+  // No compaction, so the flush is the only pending background job.
+  o.level0_file_num_compaction_trigger = 1000;
+  o.level0_slowdown_writes_trigger = 1000;
+  o.level0_stop_writes_trigger = 1000;
+  o.listeners.push_back(listener);
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(o, "/db", &db).ok());
+  const std::string value(1024, 'v');
+  for (int i = 0; i < 1000; i++) {
+    Status s = db->Put({}, "key" + std::to_string(i), value);
+    ASSERT_TRUE(s.ok()) << "put " << i << ": " << s.ToString();
+  }
+  EXPECT_GT(listener->stops, 0);
 }
 
 }  // namespace
