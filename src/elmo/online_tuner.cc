@@ -228,7 +228,8 @@ void OnlineTuner::CheckTrigger(const lsm::IntervalSample& s) {
   AddStep(s.ts_us, "propose", std::move(propose));
 
   // Post-shift baseline: the triggering interval's own rate, so the
-  // verdict compares against the new phase's level, not the old one.
+  // verdict compares against the new phase's level, not the old one. A
+  // rejected delta is recorded on the timeline.
   ApplyDelta(delta, origin, s.ts_us, SampleRate(s));
 }
 
@@ -406,12 +407,14 @@ std::map<std::string, std::string> OnlineTuner::HeuristicDelta(
   return d;
 }
 
-void OnlineTuner::ApplyDelta(
+Status OnlineTuner::ApplyDelta(
     const std::map<std::string, std::string>& delta,
     const std::string& origin, uint64_t ts_us, double baseline) {
   const lsm::OptionsSchema& schema = lsm::OptionsSchema::Instance();
   const lsm::Options& cur = db_->options();
 
+  json::Object apply;
+  apply["origin"] = origin;
   // Crash-certification gate: a delta that loses acknowledged writes
   // under crash/reopen cycles never reaches the live DB.
   if (cfg_.certify_ops > 0) {
@@ -427,8 +430,10 @@ void OnlineTuner::ApplyDelta(
       fail["divergence"] = sr.first_divergence;
       AddStep(ts_us, "verdict", std::move(fail));
       cooldown_left_ = kCooldownIntervals;
-      return;
+      return Status::Aborted("crash certification failed",
+                             sr.first_divergence);
     }
+    apply["certified_ops"] = static_cast<int64_t>(sr.ops_executed);
   }
 
   // Snapshot the revert values before the engine mutates them.
@@ -439,8 +444,6 @@ void OnlineTuner::ApplyDelta(
   }
 
   Status s = db_->SetOptions(delta);
-  json::Object apply;
-  apply["origin"] = origin;
   json::Object changes;
   for (const auto& [k, v] : delta) changes[k] = v;
   apply["changes"] = std::move(changes);
@@ -448,7 +451,7 @@ void OnlineTuner::ApplyDelta(
     apply["error"] = s.ToString();
     AddStep(ts_us, "apply", std::move(apply));
     cooldown_left_ = kCooldownIntervals;
-    return;
+    return s;
   }
   apply["baseline_ops_per_sec"] = static_cast<int64_t>(baseline);
   AddStep(ts_us, "apply", std::move(apply));
@@ -471,6 +474,7 @@ void OnlineTuner::ApplyDelta(
   active_delta_ = delta;
   revert_delta_ = std::move(revert);
   active_origin_ = origin;
+  return Status::OK();
 }
 
 void OnlineTuner::VerifySample(const lsm::IntervalSample& s) {
@@ -552,25 +556,7 @@ Status OnlineTuner::InjectDelta(
     n++;
   }
   if (n > 0) baseline /= n;
-  const int applied_before = applied_deltas_;
-  ApplyDelta(delta, origin, last_sample_ts_, baseline);
-  if (applied_deltas_ == applied_before) {
-    // Rejected by the certify gate or by SetOptions validation; the
-    // timeline step carries the detail.
-    for (auto it = timeline_.rbegin(); it != timeline_.rend(); ++it) {
-      if (it->kind == "apply") {
-        auto err = it->detail.find("error");
-        if (err != it->detail.end() && err->second.is_string()) {
-          return Status::InvalidArgument("InjectDelta",
-                                         err->second.as_string());
-        }
-        break;
-      }
-      if (it->kind == "verdict") break;
-    }
-    return Status::InvalidArgument("InjectDelta", "delta not applied");
-  }
-  return Status::OK();
+  return ApplyDelta(delta, origin, last_sample_ts_, baseline);
 }
 
 std::string OnlineTuner::TimelineJson() const {

@@ -66,8 +66,8 @@ class OnlineTuner {
   // Push a delta through the tuner's own apply path — baseline capture,
   // timeline step, and the same rollback verdict machinery as an
   // organic proposal. Used to plant harmful deltas in tests and for
-  // manual operation. Fails with the SetOptions() validation error when
-  // the delta is rejected.
+  // manual operation. Fails with the SetOptions() validation error, or
+  // Aborted when crash certification rejects the delta.
   Status InjectDelta(const std::map<std::string, std::string>& delta,
                      const std::string& origin);
 
@@ -110,10 +110,11 @@ class OnlineTuner {
   // Drops entries equal to the live value.
   void DropNoOps(std::map<std::string, std::string>* delta) const;
 
-  // Apply `delta` (certify gate first), arm the verdict machinery.
-  void ApplyDelta(const std::map<std::string, std::string>& delta,
-                  const std::string& origin, uint64_t ts_us,
-                  double baseline);
+  // Apply `delta` (certify gate first), arm the verdict machinery. Fails
+  // when certification or SetOptions() rejects the delta.
+  Status ApplyDelta(const std::map<std::string, std::string>& delta,
+                    const std::string& origin, uint64_t ts_us,
+                    double baseline);
   void Rollback(const lsm::IntervalSample& s);
 
   bool ReadHealth(monitor::HealthReport* report) const;

@@ -116,6 +116,40 @@ TEST(OnlineTuner, TimelineIsDeterministicAcrossSameSeedRuns) {
   EXPECT_EQ(a.result.ops_per_sec, b.result.ops_per_sec);
 }
 
+TEST(OnlineTuner, CertifiedDeltaIsApplied) {
+  // With certify_ops set, every delta passes the crash-certification
+  // gate (stress harness, crash/reopen cycles) before SetOptions.
+  const auto hw = HardwareProfile::Make(4, 4, DeviceModel::NvmeSsd());
+  bench::BenchRunner runner(hw, /*seed=*/42);
+  OnlineTunerConfig cfg;
+  cfg.memory_budget_bytes = BenchBudget(hw);
+  cfg.certify_ops = 400;
+  std::unique_ptr<OnlineTuner> tuner;
+  lsm::DB* tuner_db = nullptr;
+  auto hook = [&](lsm::DB* db, uint64_t) {
+    if (db != tuner_db) {
+      tuner_db = db;
+      tuner = std::make_unique<OnlineTuner>(db, nullptr, cfg);
+    }
+    tuner->Poll();
+  };
+  runner.RunWithHook(bench::WorkloadSpec::FillRandom(60000), lsm::Options(),
+                     hook);
+  ASSERT_NE(nullptr, tuner);
+  EXPECT_GE(tuner->applied_deltas(), 1);
+  int certified_applies = 0;
+  for (const TimelineStep& step : tuner->timeline()) {
+    EXPECT_NE("certify_failed", StepString(step, "result"));
+    if (step.kind != "apply") continue;
+    EXPECT_EQ(step.detail.end(), step.detail.find("error"));
+    auto ops = step.detail.find("certified_ops");
+    ASSERT_NE(step.detail.end(), ops) << "apply without certification";
+    EXPECT_EQ(400, ops->second.as_int());
+    certified_applies++;
+  }
+  EXPECT_EQ(tuner->applied_deltas(), certified_applies);
+}
+
 TEST(OnlineTuner, PlantedHarmfulDeltaIsRolledBack) {
   // Steady fillrandom: no phase shift ever excuses a collapse. Once the
   // organic cold-start delta is out, plant a 64 KiB write buffer — a
