@@ -88,20 +88,26 @@ int main() {
     auto hw = HardwareProfile::Make(2, 4, dev);
     bench::BenchRunner runner(hw);
 
+    uint64_t errors = 0;
+    auto run = [&](const bench::WorkloadSpec& spec,
+                   const lsm::Options& opts) {
+      bench::BenchResult r = runner.Run(spec, opts);
+      errors += r.errors();
+      return r;
+    };
     lsm::Options def;
-    const double def_write_tput =
-        runner.Run(write_spec, def).ops_per_sec;
-    const double def_mixed_tput =
-        runner.Run(mixed_spec, def).ops_per_sec;
+    const double def_write_tput = run(write_spec, def).ops_per_sec;
+    const double def_mixed_tput = run(mixed_spec, def).ops_per_sec;
 
     for (const auto& v : MakeVariants()) {
       const auto& spec = v.write_side ? write_spec : mixed_spec;
-      auto r = runner.Run(spec, v.opts);
+      auto r = run(spec, v.opts);
       const double base = v.write_side ? def_write_tput : def_mixed_tput;
       printf("%-24s | %-10s | %10.0f | %9.2f | %9.2f | %7.2fx\n", v.name,
              r.workload.c_str(), r.ops_per_sec, r.p99_write_us(),
              r.p99_read_us(), base > 0 ? r.ops_per_sec / base : 0.0);
     }
+    ReportErrors("ablation on " + hw.Label(), errors);
   }
   return 0;
 }

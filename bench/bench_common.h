@@ -21,6 +21,20 @@ struct TunedRun {
   tune::TuningOutcome outcome;
 };
 
+// Every benchmark run is a correctness check: each bench reports on
+// stderr how many operations failed (reads, writes, scans) in its runs.
+inline void ReportErrors(const std::string& what, uint64_t errors) {
+  fprintf(stderr, "%s: %llu failed operations\n", what.c_str(),
+          static_cast<unsigned long long>(errors));
+}
+
+// Failed operations over a session's baseline and every iteration.
+inline uint64_t SessionErrors(const tune::TuningOutcome& outcome) {
+  uint64_t errors = outcome.baseline.errors();
+  for (const auto& it : outcome.iterations) errors += it.result.errors();
+  return errors;
+}
+
 // Runs a full ELMo-Tune session (iteration 0 = defaults, then
 // `iterations` LLM rounds) for one hardware/workload cell.
 inline TunedRun RunCell(const HardwareProfile& hw,
@@ -36,6 +50,9 @@ inline TunedRun RunCell(const HardwareProfile& hw,
 
   TunedRun run;
   run.outcome = session.Run();
+  ReportErrors(std::string(bench::WorkloadTypeName(spec.type)) + " on " +
+                   hw.Label(),
+               SessionErrors(run.outcome));
   run.baseline = run.outcome.baseline;
   run.tuned = run.outcome.best_result;
   return run;

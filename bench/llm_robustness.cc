@@ -39,6 +39,7 @@ int main() {
     llm::SimulatedExpertLlm gpt(ecfg);
     tune::TuningSession session(&runner, &gpt, spec);
     auto out = session.Run();
+    ReportErrors(p.name, SessionErrors(out));
 
     int halluc = 0, blocked = 0, invalid = 0;
     for (const auto& it : out.iterations) {

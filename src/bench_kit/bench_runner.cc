@@ -126,6 +126,7 @@ BenchResult BenchRunner::RunInternal(const WorkloadSpec& spec,
           db->Put(WriteOptions(), MakeKey(i),
                   value_gen.Generate(spec.value_size));
       if (!ps.ok()) {
+        result.write_errors++;
         result.workload += " PRELOAD-FAILED: " + ps.ToString();
         return result;
       }
@@ -143,7 +144,8 @@ BenchResult BenchRunner::RunInternal(const WorkloadSpec& spec,
 
   std::string read_value;
   const uint64_t phase_len = std::max<uint64_t>(op_limit / 3, 1);
-  for (uint64_t i = 0; i < op_limit; i++) {
+  uint64_t i = 0;
+  for (; i < op_limit && result.write_errors == 0; i++) {
     if (hook && i % hook_every == 0) hook(db.get(), i);
     bool is_write = false;
     bool is_scan = false;
@@ -174,6 +176,7 @@ BenchResult BenchRunner::RunInternal(const WorkloadSpec& spec,
         bytes_processed += iter->key().size() + iter->value().size();
         iter->Next();
       }
+      if (!iter->status().ok()) result.scan_errors++;
       result.read_micros.Add(
           static_cast<double>(env->NowMicros() - op_start));
     } else if (is_write) {
@@ -188,7 +191,10 @@ BenchResult BenchRunner::RunInternal(const WorkloadSpec& spec,
       }
       Status ws = db->Put(WriteOptions(), MakeKey(key_index),
                           value_gen.Generate(vsize));
-      if (!ws.ok()) break;
+      if (!ws.ok()) {
+        result.write_errors++;
+        continue;
+      }
       bytes_processed += 16 + vsize;
       result.write_micros.Add(
           static_cast<double>(env->NowMicros() - op_start));
@@ -197,7 +203,11 @@ BenchResult BenchRunner::RunInternal(const WorkloadSpec& spec,
                                ? zipf.Next()
                                : op_rng.Uniform(spec.num_keys);
       Status rs = db->Get(ReadOptions(), MakeKey(key_index), &read_value);
-      if (rs.ok()) bytes_processed += 16 + read_value.size();
+      if (rs.ok()) {
+        bytes_processed += 16 + read_value.size();
+      } else if (!rs.IsNotFound()) {
+        result.read_errors++;
+      }
       result.read_micros.Add(
           static_cast<double>(env->NowMicros() - op_start));
     }
@@ -214,9 +224,9 @@ BenchResult BenchRunner::RunInternal(const WorkloadSpec& spec,
   const double parallel = std::min(spec.threads, hw_.cpu_cores);
   const double wall_seconds = (elapsed_us / 1e6) / std::max(1.0, parallel);
 
-  result.ops = op_limit;
+  result.ops = i - result.errors();
   result.elapsed_seconds = wall_seconds;
-  result.ops_per_sec = op_limit / wall_seconds;
+  result.ops_per_sec = result.ops / wall_seconds;
   result.mb_per_sec = bytes_processed / 1048576.0 / wall_seconds;
 
   const auto& st = db->stats();
@@ -251,9 +261,6 @@ BenchResult BenchRunner::RunInternal(const WorkloadSpec& spec,
       result.health_json = prop;
       result.health_text = health.ToText();
     }
-  }
-  if (db->GetProperty("elmo.options_changes", &prop)) {
-    result.options_changes_json = prop;
   }
 
   // Close out the traces and distill them offline: per-kind/context IO

@@ -63,6 +63,7 @@ MetricMap MetricsFromResult(const BenchResult& r) {
   m["cache_hit_rate"] = RoundMetric(r.block_cache_hit_rate);
   m["flushes"] = static_cast<double>(r.flushes);
   m["compactions"] = static_cast<double>(r.compactions);
+  m["errors"] = static_cast<double>(r.errors());
 
   // p99 tail-attribution shares from the run's span trace. The names
   // are FIXED and always emitted (0.0 when the trace captured no tail
@@ -226,9 +227,10 @@ MatrixReport RunMatrix(
 namespace {
 
 // Gate table: how each metric participates in the breach decision.
-enum class Gate { kThroughputDrop, kP99Rise, kP999Rise, kInfoOnly };
+enum class Gate { kThroughputDrop, kP99Rise, kP999Rise, kZero, kInfoOnly };
 
 Gate GateFor(const std::string& metric) {
+  if (metric == "errors") return Gate::kZero;
   if (metric == "ops_per_sec" || metric == "mb_per_sec") {
     return metric == "ops_per_sec" ? Gate::kThroughputDrop : Gate::kInfoOnly;
   }
@@ -289,7 +291,9 @@ CompareReport CompareMatrix(const MatrixReport& baseline,
           base_v == 0 ? 0 : (cur_v - base_v) / base_v * 100.0;
 
       const Gate gate = GateFor(metric);
-      d.gated = gate != Gate::kInfoOnly && base_v != 0;
+      // Any error fails the cell, whatever the baseline held.
+      d.gated = gate == Gate::kZero ||
+                (gate != Gate::kInfoOnly && base_v != 0);
       if (d.gated) {
         switch (gate) {
           case Gate::kThroughputDrop:
@@ -300,6 +304,9 @@ CompareReport CompareMatrix(const MatrixReport& baseline,
             break;
           case Gate::kP999Rise:
             d.breach = d.delta_pct > thresholds.max_p999_rise_pct;
+            break;
+          case Gate::kZero:
+            d.breach = cur_v > 0;
             break;
           case Gate::kInfoOnly:
             break;

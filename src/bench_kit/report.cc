@@ -49,12 +49,6 @@ std::string BenchResult::IoCacheEvidence() const {
   return out;
 }
 
-std::string BenchResult::LatencyAttributionEvidence() const {
-  return span_attribution_summary;
-}
-
-std::string BenchResult::HealthEvidence() const { return health_text; }
-
 std::string BenchResult::ToReport() const {
   std::string out;
   char buf[512];
@@ -133,6 +127,9 @@ std::string BenchResult::ToJson() const {
   doc["sim_seed"] = static_cast<int64_t>(sim_seed);
   doc["workload"] = workload;
   doc["ops"] = static_cast<int64_t>(ops);
+  doc["read_errors"] = static_cast<int64_t>(read_errors);
+  doc["write_errors"] = static_cast<int64_t>(write_errors);
+  doc["scan_errors"] = static_cast<int64_t>(scan_errors);
   doc["elapsed_seconds"] = elapsed_seconds;
   doc["ops_per_sec"] = ops_per_sec;
   doc["mb_per_sec"] = mb_per_sec;

@@ -28,7 +28,12 @@ const char* BuildStamp();
 
 struct BenchResult {
   std::string workload;
-  uint64_t ops = 0;
+  uint64_t ops = 0;  // completed without error
+  // Ops that failed (NotFound is not a failure). A failed write ends the
+  // run; a run with any error is scored as failed.
+  uint64_t read_errors = 0;
+  uint64_t write_errors = 0;
+  uint64_t scan_errors = 0;
   double elapsed_seconds = 0;
   double ops_per_sec = 0;
   double mb_per_sec = 0;
@@ -91,23 +96,19 @@ struct BenchResult {
   std::string health_json;
   std::string health_text;
 
-  // Dynamic-option ledger captured at the end of the run
-  // (GetProperty("elmo.options_changes")): every SetOptions() delta the
-  // run applied. Kept out of ToJson() — the online-tuning harness
-  // persists its own timeline artifact.
-  std::string options_changes_json;
-
   // The "IO & Cache Evidence" prompt section body; empty when the run
   // captured no traces.
   std::string IoCacheEvidence() const;
 
   // The "Latency Attribution Evidence" prompt section body; empty when
   // the run captured no span trace.
-  std::string LatencyAttributionEvidence() const;
+  std::string LatencyAttributionEvidence() const {
+    return span_attribution_summary;
+  }
 
   // The "Health & Diagnosis Evidence" prompt section body; empty when
   // the run recorded no health verdict.
-  std::string HealthEvidence() const;
+  std::string HealthEvidence() const { return health_text; }
 
   // Convenience accessors used by tables/figures.
   double p99_write_us() const {
@@ -131,6 +132,8 @@ struct BenchResult {
                                compaction_bytes_written) /
            static_cast<double>(user_bytes_written);
   }
+
+  uint64_t errors() const { return read_errors + write_errors + scan_errors; }
 
   std::string ToReport() const;
 

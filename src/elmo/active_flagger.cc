@@ -20,11 +20,28 @@ double WorstP99(const bench::BenchResult& r) {
   return std::max(r.p99_write_us(), r.p99_read_us());
 }
 
+// Why a run with failed operations cannot be scored; "" when it has none.
+std::string ErrorReason(const bench::BenchResult& r) {
+  if (r.errors() == 0) return "";
+  char buf[160];
+  snprintf(buf, sizeof(buf),
+           "%llu operations failed (read %llu, write %llu, scan %llu)",
+           (unsigned long long)r.errors(), (unsigned long long)r.read_errors,
+           (unsigned long long)r.write_errors,
+           (unsigned long long)r.scan_errors);
+  return buf;
+}
+
 }  // namespace
 
 FlaggerDecision ActiveFlagger::Judge(const bench::BenchResult& best,
                                      const bench::BenchResult& candidate) {
   FlaggerDecision d;
+  d.reason = ErrorReason(candidate);
+  if (!d.reason.empty()) {
+    d.reason += "; reverting to the previous configuration";
+    return d;
+  }
   char buf[256];
 
   if (candidate.ops_per_sec > best.ops_per_sec * (1.0 + kMinGain)) {
@@ -62,7 +79,9 @@ FlaggerDecision ActiveFlagger::Judge(const bench::BenchResult& best,
 ProbeVerdict ActiveFlagger::JudgeProbe(const bench::BenchResult& best,
                                        const bench::BenchResult& probe) {
   ProbeVerdict v;
-  if (best.ops_per_sec <= 0) return v;
+  v.reason = ErrorReason(probe);
+  v.abort = !v.reason.empty();
+  if (v.abort || best.ops_per_sec <= 0) return v;
   char buf[256];
 
   const double floor = best.ops_per_sec * kEarlyAbortFraction;

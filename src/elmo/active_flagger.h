@@ -23,13 +23,13 @@ struct ProbeVerdict {
 class ActiveFlagger {
  public:
   // Keeps a candidate that beats the best throughput, or one that holds
-  // it while improving tail latency.
+  // it while improving tail latency. A run with errors is never kept.
   static FlaggerDecision Judge(const bench::BenchResult& best,
                                const bench::BenchResult& candidate);
 
-  // The probe screen: aborts a probe whose throughput falls below half
-  // the best's, or whose time series collapses mid-probe to below that
-  // floor with no workload phase shift to blame.
+  // The probe screen: aborts a probe with errors, one whose throughput
+  // falls below half the best's, or one whose time series collapses
+  // mid-probe below that floor with no workload phase shift to blame.
   static ProbeVerdict JudgeProbe(const bench::BenchResult& best,
                                  const bench::BenchResult& probe);
 };

@@ -96,24 +96,17 @@ void OnlineTuner::Poll() {
   while (first_new > 0 && samples[first_new - 1].ts_us > last_sample_ts_) {
     first_new--;
   }
-  if (!attached_) {
-    // First look at the ring: whatever it holds predates this session
-    // (a bulk load, another tuner's era). Take it as context for the
-    // prompt but do not act on it — acting starts with the first
-    // interval observed live, so baselines measure this era's traffic.
-    attached_ = true;
-    for (size_t i = first_new; i < samples.size(); i++) {
-      last_sample_ts_ = samples[i].ts_us;
-      recent_.push_back(samples[i]);
-      while (recent_.size() > 16) recent_.pop_front();
-    }
-    return;
-  }
+  // On the first look, whatever the ring holds predates this session
+  // (a bulk load, another tuner's era). Take it as context for the
+  // prompt but do not act on it — acting starts with the first interval
+  // observed live, so baselines measure this era's traffic.
+  const bool live = attached_;
+  attached_ = true;
   for (size_t i = first_new; i < samples.size(); i++) {
     last_sample_ts_ = samples[i].ts_us;
     recent_.push_back(samples[i]);
     while (recent_.size() > 16) recent_.pop_front();
-    StepOnSample(samples[i]);
+    if (live) StepOnSample(samples[i]);
   }
 }
 

@@ -522,6 +522,7 @@ TournamentReport RunTournament(const TournamentConfig& config) {
     for (size_t i = 0; i < history.size(); i++) {
       best = std::max(best, ObservedOps(history[i]));
       run.best_curve.push_back(Round3(best));
+      run.errors += history[i].result.errors();
     }
     const size_t best_idx = BestIndex(history);
     run.best_ops_per_sec = Round3(ObservedOps(history[best_idx]));
@@ -580,6 +581,7 @@ std::string TournamentReport::ToJson() const {
     o["gain_vs_default"] = r.gain_vs_default;
     o["trials_to_within_5pct"] = r.trials_to_within_5pct;
     o["best_options_ini"] = r.best_options_ini;
+    o["errors"] = r.errors;
     runs_arr.push_back(json::Value(std::move(o)));
   }
   doc["runs"] = std::move(runs_arr);
@@ -643,6 +645,7 @@ OnlineVsOfflineReport RunOnlineVsOffline(const OnlineVsOfflineConfig& config) {
 
   for (const auto& c : candidates) {
     const bench::BenchResult r = runner.Run(config.workload, c.options);
+    report.errors += r.errors();
     report.static_runs.push_back(
         {c.name, c.description, Round3(r.ops_per_sec)});
     if (r.ops_per_sec > report.best_static_ops_per_sec) {
@@ -677,6 +680,7 @@ OnlineVsOfflineReport RunOnlineVsOffline(const OnlineVsOfflineConfig& config) {
       runner.RunWithHook(config.workload, Options(), hook);
 
   report.online_ops_per_sec = Round3(online.ops_per_sec);
+  report.errors += online.errors();
   report.online_gain_vs_best_static =
       report.best_static_ops_per_sec > 0
           ? Round3(report.online_ops_per_sec /
@@ -715,6 +719,7 @@ std::string OnlineVsOfflineReport::ToJson() const {
   doc["applied_deltas"] = applied_deltas;
   doc["rollbacks"] = rollbacks;
   doc["oscillations"] = oscillations;
+  doc["errors"] = errors;
   json::Value timeline;
   if (json::Parse(timeline_json, &timeline).ok()) {
     doc["timeline"] = std::move(timeline);

@@ -86,6 +86,7 @@ struct TunerRun {
   int trials_to_within_5pct = -1;
   // Options-file text of the best configuration found.
   std::string best_options_ini;
+  int64_t errors = 0;  // failed operations over all trials
 };
 
 struct TournamentReport {
@@ -140,6 +141,7 @@ struct OnlineVsOfflineReport {
   double online_ops_per_sec = 0;
   // online / best static; > 1 means reconfiguring mid-run won.
   double online_gain_vs_best_static = 0;
+  int64_t errors = 0;  // failed operations over every run
   int applied_deltas = 0;
   int rollbacks = 0;
   int oscillations = 0;

@@ -66,7 +66,6 @@ TuningOutcome TuningSession::Run(const Options& initial) {
     rec.response = std::move(proposal.response);
     if (!s.ok()) {
       rec.decision_reason = "LLM call failed: " + s.ToString();
-      rec.kept = false;
       outcome.iterations.push_back(std::move(rec));
       break;
     }
@@ -76,7 +75,6 @@ TuningOutcome TuningSession::Run(const Options& initial) {
     if (rec.safeguard.applied.empty()) {
       // Nothing usable came back (pure hallucination / format break):
       // tell the model and retry next iteration.
-      rec.kept = false;
       rec.result = best_result;
       rec.decision_reason =
           "no valid changes extracted (" + rec.safeguard.Summary() + ")";
@@ -106,7 +104,6 @@ TuningOutcome TuningSession::Run(const Options& initial) {
           ActiveFlagger::JudgeProbe(best_result, probe);
       if (verdict.abort) {
         rec.early_aborted = true;
-        rec.kept = false;
         rec.result = probe;
         rec.decision_reason =
             "early monitor abort: " + verdict.reason + "; reverting";
@@ -148,22 +145,19 @@ TuningOutcome TuningSession::Run(const Options& initial) {
     rec.decision_reason = decision.reason;
 
     char line[160];
+    snprintf(line, sizeof(line), "Iteration %d: %.0f ops/sec (%s)", it,
+             rec.result.ops_per_sec, decision.keep ? "kept" : "reverted");
+    history.push_back(line);
     if (decision.keep) {
       best_options = candidate;
       best_result = rec.result;
-      snprintf(line, sizeof(line), "Iteration %d: %.0f ops/sec (kept)",
-               it, rec.result.ops_per_sec);
     } else {
       deterioration_note =
           "The previous configuration DECREASED performance (" +
           decision.reason +
           "). It was reverted; the configuration above is the "
           "best-known one.";
-      snprintf(line, sizeof(line),
-               "Iteration %d: %.0f ops/sec (reverted)", it,
-               rec.result.ops_per_sec);
     }
-    history.push_back(line);
     outcome.iterations.push_back(std::move(rec));
   }
 

@@ -58,6 +58,23 @@ TEST(ActiveFlagger, WorstP99ConsidersReads) {
   EXPECT_TRUE(ActiveFlagger::Judge(best, cand).keep);
 }
 
+TEST(ActiveFlagger, RunWithErrorsIsNeverKept) {
+  auto failed = Result(500000, 1.0);
+  failed.read_errors = 3;
+  auto d = ActiveFlagger::Judge(Result(100000), failed);
+  EXPECT_FALSE(d.keep);
+  EXPECT_NE(d.reason.find("3 operations failed"), std::string::npos);
+  EXPECT_NE(d.reason.find("reverting"), std::string::npos);
+}
+
+TEST(ActiveFlagger, ProbeWithErrorsAborts) {
+  auto probe = Result(500000);
+  probe.write_errors = 1;
+  auto v = ActiveFlagger::JudgeProbe(Result(100000), probe);
+  EXPECT_TRUE(v.abort);
+  EXPECT_NE(v.reason.find("write 1"), std::string::npos);
+}
+
 TEST(ActiveFlagger, EarlyAbortOnCollapse) {
   EXPECT_TRUE(ActiveFlagger::JudgeProbe(Result(100000), Result(30000)).abort);
   EXPECT_FALSE(

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
+#include <string>
+#include <vector>
+
+#include "env/mem_fs.h"
+#include "env/sim_env.h"
 #include "util/json.h"
 
 namespace elmo::bench {
@@ -142,6 +148,67 @@ TEST(BenchRunner, MixgraphUsesVariableValueSizes) {
   spec.preload_keys = 1000;
   auto r = runner.Run(spec, lsm::Options());
   EXPECT_GT(r.ops_per_sec, 0.0);
+}
+
+// The SimEnv filesystem under a bench run's live DB.
+MemFs* RunFs(lsm::DB* db) {
+  Env* env = db->options().env;  // the engine's IO-tracing wrapper
+  while (auto* wrapper = dynamic_cast<EnvWrapper*>(env)) {
+    env = wrapper->base();
+  }
+  auto* sim = dynamic_cast<SimEnv*>(env);
+  EXPECT_NE(nullptr, sim);
+  return sim->fs();
+}
+
+// Flips every byte of every SST file the run has written so far.
+void CorruptTables(lsm::DB* db) {
+  MemFs* fs = RunFs(db);
+  std::vector<std::string> children;
+  ASSERT_TRUE(fs->GetChildren("/bench/db", &children).ok());
+  for (const std::string& name : children) {
+    if (name.size() < 4 || name.substr(name.size() - 4) != ".sst") continue;
+    MemFs::FileRef file;
+    ASSERT_TRUE(fs->Open("/bench/db/" + name, &file).ok());
+    std::lock_guard<std::mutex> l(file->mu);
+    for (char& c : file->data) c = static_cast<char>(~c);
+  }
+}
+
+TEST(BenchRunner, FailedWriteEndsTheRunAndIsNotCounted) {
+  BenchRunner runner(TestHw());
+  auto hook = [](lsm::DB* db, uint64_t op) {
+    if (op == 1024) RunFs(db)->SetCapacity(1);  // every append fails
+  };
+  auto r = runner.RunWithHook(WorkloadSpec::FillRandom(20000),
+                              lsm::Options(), hook);
+  EXPECT_EQ(1u, r.write_errors);
+  EXPECT_EQ(1024u, r.ops);
+  EXPECT_EQ(r.ops, r.write_micros.Count());
+  EXPECT_NE(r.ToJson().find("\"write_errors\": 1"), std::string::npos);
+}
+
+TEST(BenchRunner, FailedReadsAndScansAreErrorsNotOps) {
+  auto hook = [](lsm::DB* db, uint64_t op) {
+    if (op == 0) CorruptTables(db);
+  };
+  BenchRunner runner(TestHw());
+  auto reads = runner.RunWithHook(WorkloadSpec::ReadRandom(2000, 20000),
+                                  lsm::Options(), hook);
+  EXPECT_GT(reads.read_errors, 0u);
+  EXPECT_EQ(2000u, reads.ops + reads.read_errors);
+
+  auto scan_spec = WorkloadSpec::SeekRandom(500, 20000);
+  auto scans = runner.RunWithHook(scan_spec, lsm::Options(), hook);
+  EXPECT_GT(scans.scan_errors, 0u);
+  EXPECT_EQ(500u, scans.ops + scans.scan_errors);
+
+  // NotFound is a completed read: half the keys read were never loaded.
+  auto miss_spec = WorkloadSpec::ReadRandom(2000, 20000);
+  miss_spec.num_keys = 40000;
+  auto misses = runner.Run(miss_spec, lsm::Options());
+  EXPECT_EQ(0u, misses.errors());
+  EXPECT_EQ(2000u, misses.ops);
 }
 
 }  // namespace

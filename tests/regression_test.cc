@@ -21,7 +21,8 @@ MatrixReport GoldenBaseline() {
       MetricMap{{"ops_per_sec", 160000.0},
                 {"p99_write_us", 9.0},
                 {"p999_write_us", 12.0},
-                {"write_amp", 3.7}});
+                {"write_amp", 3.7},
+                {"errors", 0.0}});
   r.cells.emplace_back("nvme_4c4g/readrandom",
                        MetricMap{{"ops_per_sec", 15000.0},
                                  {"p99_read_us", 90.0},
@@ -77,6 +78,19 @@ TEST(CompareMatrix, Planted20PctSlowdownBreaches) {
   // The report text names the breach.
   EXPECT_NE(cmp.ToText().find("REGRESSION BREACH"), std::string::npos);
   EXPECT_NE(cmp.ToJson().find("\"has_breach\": true"), std::string::npos);
+}
+
+TEST(CompareMatrix, AnyErrorBreaches) {
+  MatrixReport base = GoldenBaseline();
+  MatrixReport cur = GoldenBaseline();
+  EXPECT_FALSE(CompareMatrix(base, cur).HasBreach());
+  // A faster run with one failed op still fails its cell.
+  cur.cells[0].second["ops_per_sec"] *= 1.5;
+  cur.cells[0].second["errors"] = 1;
+  CompareReport cmp = CompareMatrix(base, cur);
+  EXPECT_TRUE(cmp.HasBreach());
+  ASSERT_EQ(cmp.breaches.size(), 1u);
+  EXPECT_NE(cmp.breaches[0].find("errors"), std::string::npos);
 }
 
 TEST(CompareMatrix, SlowdownWithinThresholdPasses) {
@@ -238,9 +252,10 @@ TEST(RunMatrix, ProducesCompleteMetricBlocks) {
   const MetricMap& m = r.cells[0].second;
   for (const char* key :
        {"ops_per_sec", "mb_per_sec", "p99_write_us", "p999_write_us",
-        "write_amp", "stall_seconds", "flushes", "compactions"}) {
+        "write_amp", "stall_seconds", "flushes", "compactions", "errors"}) {
     EXPECT_TRUE(m.count(key)) << key;
   }
+  EXPECT_EQ(m.at("errors"), 0);
   EXPECT_GT(m.at("ops_per_sec"), 0);
   EXPECT_GT(m.at("write_amp"), 0);
   EXPECT_EQ(r.seed, 42u);
