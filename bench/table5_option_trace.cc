@@ -1,11 +1,10 @@
 // Table 5: the option-change trace — which options the LLM modified at
 // each iteration for fillrandom on SATA HDD with 2 CPUs + 4 GiB
 // (paper: 23 options touched by iteration 7, 15 shown).
-#include <map>
 #include <set>
 
 #include "bench/bench_common.h"
-#include "lsm/options_schema.h"
+#include "elmo/history_export.h"
 
 using namespace elmo;
 using namespace elmo::benchmain;
@@ -16,45 +15,18 @@ int main() {
   fprintf(stderr, "tuning fillrandom on %s ...\n", hw.Label().c_str());
   TunedRun run = RunCell(hw, spec, /*seed=*/4242);
 
-  // Collect every option changed in any iteration, in first-touched
-  // order (the paper sorts roughly by first appearance).
-  std::vector<std::string> row_order;
-  std::set<std::string> seen;
+  std::set<std::string> touched;
   for (const auto& it : run.outcome.iterations) {
-    for (const auto& [name, value] : it.applied_changes) {
-      if (seen.insert(name).second) row_order.push_back(name);
-    }
+    for (const auto& [name, value] : it.applied_changes) touched.insert(name);
   }
 
   PrintHeader("Table 5: Changes in options over iterations by the LLM",
               "paper Table 5");
   printf("fillrandom on SATA HDD, 2 CPUs + 4 GiB; %zu distinct options "
          "touched across %zu iterations\n\n",
-         row_order.size(), run.outcome.iterations.size());
-
-  printf("%-36s | %-12s", "Parameter", "Default");
-  for (size_t i = 1; i <= run.outcome.iterations.size(); i++) {
-    printf(" | Iter %zu", i);
-  }
-  printf("\n");
-
-  const auto& schema = lsm::OptionsSchema::Instance();
-  lsm::Options defaults;
-  for (const auto& name : row_order) {
-    const auto* info = schema.Find(name);
-    printf("%-36s | %-12s", name.c_str(),
-           info != nullptr ? info->get(defaults).c_str() : "?");
-    for (const auto& it : run.outcome.iterations) {
-      auto found = it.applied_changes.find(name);
-      if (found != it.applied_changes.end()) {
-        printf(" | %s%s", found->second.c_str(), it.kept ? "" : "*");
-      } else {
-        printf(" | %s", "");
-      }
-    }
-    printf("\n");
-  }
-  printf("\n(* = iteration was reverted by the Active Flagger)\n");
+         touched.size(), run.outcome.iterations.size());
+  printf("%s", tune::ExportOptionTraceMarkdown(run.outcome).c_str());
+  printf("\n(\\* = iteration was reverted by the Active Flagger)\n");
 
   printf("\nSafeguard interventions during the trace:\n");
   for (const auto& it : run.outcome.iterations) {
