@@ -1,8 +1,8 @@
-// The steps of the ELMo-Tune loop (paper §4.2, Figure 2) that every
-// tuning driver shares — TuningSession, the tournament's LLM contender
-// and the OnlineTuner: probe the hardware, turn a prompt into a vetted
-// candidate (LLM -> Option Evaluator -> Safeguard Enforcer), and
-// crash-certify a candidate before it is kept.
+// The steps of the ELMo-Tune loop (paper §4.2, Figure 2) shared by
+// TuningSession, the tournament's LLM contender and the OnlineTuner:
+// probe the hardware, turn a prompt into a vetted candidate (LLM ->
+// Option Evaluator -> Safeguard Enforcer), and crash-certify a
+// candidate before it is kept.
 #pragma once
 
 #include <string>
