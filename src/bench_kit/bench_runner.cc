@@ -2,14 +2,9 @@
 
 #include <algorithm>
 
-#include "bench_kit/cache_sim.h"
 #include "bench_kit/generators.h"
-#include "bench_kit/io_analyzer.h"
-#include "bench_kit/span_analyzer.h"
 #include "env/sim_env.h"
 #include "lsm/db.h"
-#include "monitor/health_monitor.h"
-#include "util/json.h"
 
 namespace elmo::bench {
 
@@ -258,8 +253,7 @@ BenchResult BenchRunner::RunInternal(const WorkloadSpec& spec,
   if (db->GetProperty("elmo.health", &prop) && !prop.empty()) {
     monitor::HealthReport health;
     if (monitor::HealthReport::FromJson(prop, &health).ok()) {
-      result.health_json = prop;
-      result.health_text = health.ToText();
+      result.health = std::move(health);
     }
   }
 
@@ -271,8 +265,7 @@ BenchResult BenchRunner::RunInternal(const WorkloadSpec& spec,
     if (AnalyzeIOTrace(env.get(), io_trace_path, /*heatmap_buckets=*/20,
                        &analysis)
             .ok()) {
-      result.io_breakdown = analysis.ToPromptText();
-      result.io_analysis_json = json::Value(analysis.ToJson()).Dump();
+      result.io_analysis = std::move(analysis);
     }
   }
   if (cache_tracing && db->EndBlockCacheTrace().ok()) {
@@ -282,21 +275,15 @@ BenchResult BenchRunner::RunInternal(const WorkloadSpec& spec,
                            /*num_shard_bits=*/4, &sim)
             .ok() &&
         sim.records > 0) {
-      result.cache_sim_summary = sim.ToPromptText(opts.block_cache_size);
-      result.cache_sim_json = json::Value(sim.ToJson()).Dump();
+      result.cache_sim = std::move(sim);
+      result.scaled_block_cache_size = opts.block_cache_size;
     }
   }
   if (span_tracing && db->EndSpanTrace().ok()) {
     SpanAttribution attr;
     if (AnalyzeSpanTrace(env.get(), span_trace_path, &attr).ok() &&
         attr.trees > 0) {
-      result.span_attribution_summary = attr.ToPromptText();
-      result.span_attribution_text = attr.ToText();
-      result.span_attribution_json = json::Value(attr.ToJson()).Dump();
-    }
-    std::string perfetto;
-    if (ExportChromeTrace(env.get(), span_trace_path, &perfetto).ok()) {
-      result.perfetto_json = std::move(perfetto);
+      result.span_attribution = std::move(attr);
     }
     // Keep the raw trace bytes: the SimEnv (and its filesystem) dies
     // with this function, but callers may want to persist the artifact.

@@ -82,34 +82,15 @@ MetricMap MetricsFromResult(const BenchResult& r) {
       {"attr_p99_get_sst", "get", "sst_probe"},
       {"attr_p99_get_self", "get", "self"},
   };
+  // Each share is read at the 4 decimals the attribution document
+  // publishes, then rounded like every other metric.
   for (const auto& am : kAttrMetrics) m[am.metric] = 0.0;
-  json::Value attr;
-  if (!r.span_attribution_json.empty() &&
-      json::Parse(r.span_attribution_json, &attr).ok() &&
-      attr.is_object()) {
-    if (const json::Value* ops = attr.Find("ops");
-        ops != nullptr && ops->is_array()) {
-      for (const json::Value& op : ops->as_array()) {
-        if (!op.is_object()) continue;
-        const json::Value* name = op.Find("op");
-        const json::Value* comps = op.Find("tail_components");
-        if (name == nullptr || !name->is_string() || comps == nullptr ||
-            !comps->is_array()) {
-          continue;
-        }
-        for (const json::Value& c : comps->as_array()) {
-          if (!c.is_object()) continue;
-          const json::Value* cname = c.Find("name");
-          const json::Value* share = c.Find("share");
-          if (cname == nullptr || !cname->is_string() || share == nullptr ||
-              !share->is_number()) {
-            continue;
-          }
-          for (const auto& am : kAttrMetrics) {
-            if (name->as_string() == am.op &&
-                cname->as_string() == am.component) {
-              m[am.metric] = RoundMetric(share->as_double());
-            }
+  if (r.span_attribution) {
+    for (const SpanOpAttribution& op : r.span_attribution->ops) {
+      for (const SpanOpAttribution::Component& c : op.tail_components) {
+        for (const auto& am : kAttrMetrics) {
+          if (op.op == am.op && c.name == am.component) {
+            m[am.metric] = RoundMetric(Round4(c.share));
           }
         }
       }

@@ -39,15 +39,19 @@ std::string TimeSeriesTable(const std::vector<lsm::IntervalSample>& samples,
   return out;
 }
 
-std::string BenchResult::IoCacheEvidence() const {
-  std::string out;
-  if (!io_breakdown.empty()) out += io_breakdown;
-  if (!cache_sim_summary.empty()) {
-    if (!out.empty()) out += "\n";
-    out += cache_sim_summary;
-  }
-  return out;
+namespace {
+
+// "<title>:\n<body>", newline-terminated; nothing for an empty body.
+void AppendBlock(const char* title, const std::string& body,
+                 std::string* out) {
+  if (body.empty()) return;
+  *out += title;
+  *out += ":\n";
+  *out += body;
+  if (body.back() != '\n') *out += '\n';
 }
+
+}  // namespace
 
 std::string BenchResult::ToReport() const {
   std::string out;
@@ -87,33 +91,23 @@ std::string BenchResult::ToReport() const {
   if (!level_summary.empty()) {
     out += "LSM shape: " + level_summary + "\n";
   }
-  if (!engine_stats.empty()) {
-    out += "Engine statistics:\n";
-    out += engine_stats;
-    if (engine_stats.back() != '\n') out += '\n';
-  }
+  AppendBlock("Engine statistics", engine_stats, &out);
   if (!timeseries.empty()) {
     // Rows deliberately avoid the "micros/op ... ops/sec" shape so
     // ParseReport's throughput scan cannot match them.
     out += "Throughput over time:\n";
     out += TimeSeriesTable(timeseries, 20);
   }
-  const std::string evidence = IoCacheEvidence();
-  if (!evidence.empty()) {
-    out += "IO & cache evidence:\n";
-    out += evidence;
-    if (evidence.back() != '\n') out += '\n';
+  std::string io_cache = io_analysis ? io_analysis->ToPromptText() : "";
+  if (cache_sim) {
+    if (!io_cache.empty()) io_cache += "\n";
+    io_cache += cache_sim->ToPromptText(scaled_block_cache_size);
   }
-  if (!span_attribution_text.empty()) {
-    out += "Latency attribution:\n";
-    out += span_attribution_text;
-    if (span_attribution_text.back() != '\n') out += '\n';
+  AppendBlock("IO & cache evidence", io_cache, &out);
+  if (span_attribution) {
+    AppendBlock("Latency attribution", span_attribution->ToText(), &out);
   }
-  if (!health_text.empty()) {
-    out += "Health & diagnosis:\n";
-    out += health_text;
-    if (health_text.back() != '\n') out += '\n';
-  }
+  if (health) AppendBlock("Health & diagnosis", health->ToText(), &out);
   return out;
 }
 
@@ -150,35 +144,21 @@ std::string BenchResult::ToJson() const {
   doc["compaction_bytes_written"] =
       static_cast<int64_t>(compaction_bytes_written);
   doc["write_amplification"] = WriteAmplification();
-  // Embed the engine's own time-series JSON as a sub-document so the
-  // artifact round-trips through the same parser as the property.
-  json::Value series;
-  if (json::Parse(lsm::TimeSeriesToJson(sample_interval_us, 0, timeseries),
-                  &series)
-          .ok()) {
-    doc["timeseries"] = std::move(series);
+  // The time series and the analyzers' documents ride along so one
+  // artifact carries the whole run: throughput, telemetry, IO breakdown,
+  // miss-ratio curve, latency attribution, health.
+  json::Array samples;
+  for (const lsm::IntervalSample& s : timeseries) {
+    samples.emplace_back(lsm::SampleToJsonObject(s));
   }
-  // The offline-analyzer documents ride along so one artifact carries
-  // the whole run: throughput, telemetry, IO breakdown, miss-ratio curve.
-  json::Value io_analysis;
-  if (!io_analysis_json.empty() &&
-      json::Parse(io_analysis_json, &io_analysis).ok()) {
-    doc["io_analysis"] = std::move(io_analysis);
-  }
-  json::Value cache_sim;
-  if (!cache_sim_json.empty() &&
-      json::Parse(cache_sim_json, &cache_sim).ok()) {
-    doc["cache_sim"] = std::move(cache_sim);
-  }
-  json::Value span_attr;
-  if (!span_attribution_json.empty() &&
-      json::Parse(span_attribution_json, &span_attr).ok()) {
-    doc["span_attribution"] = std::move(span_attr);
-  }
-  json::Value health;
-  if (!health_json.empty() && json::Parse(health_json, &health).ok()) {
-    doc["health"] = std::move(health);
-  }
+  doc["timeseries"] = json::Object{
+      {"interval_us", static_cast<int64_t>(sample_interval_us)},
+      {"dropped", static_cast<int64_t>(0)},
+      {"samples", std::move(samples)}};
+  if (io_analysis) doc["io_analysis"] = io_analysis->ToJson();
+  if (cache_sim) doc["cache_sim"] = cache_sim->ToJson();
+  if (span_attribution) doc["span_attribution"] = span_attribution->ToJson();
+  if (health) doc["health"] = health->ToJson();
   return json::Value(std::move(doc)).Dump(2);
 }
 

@@ -9,8 +9,12 @@
 #include <string>
 #include <vector>
 
+#include "bench_kit/cache_sim.h"
+#include "bench_kit/io_analyzer.h"
+#include "bench_kit/span_analyzer.h"
 #include "bench_kit/workload.h"
 #include "lsm/stats_sampler.h"
+#include "monitor/health_monitor.h"
 #include "util/histogram.h"
 
 namespace elmo::bench {
@@ -71,44 +75,21 @@ struct BenchResult {
   std::vector<lsm::IntervalSample> timeseries;
   uint64_t sample_interval_us = 0;
 
-  // Offline-analyzer output from the run's IO and block-cache traces
-  // (bench_kit/io_analyzer.h, bench_kit/cache_sim.h): compact prompt
-  // text plus the full JSON documents embedded in ToJson().
-  std::string io_breakdown;       // IOAnalysis::ToPromptText()
-  std::string cache_sim_summary;  // CacheSimResult::ToPromptText()
-  std::string io_analysis_json;   // IOAnalysis::ToJson() dump
-  std::string cache_sim_json;     // CacheSimResult::ToJson() dump
-
-  // Latency-attribution output from the run's span trace
-  // (bench_kit/span_analyzer.h): per-op p99 decomposition as prompt
-  // text, text tables, and the full JSON document embedded in ToJson().
-  // Plus the Chrome trace-event export and the raw trace bytes so
-  // callers can persist artifacts after the run env is gone.
-  std::string span_attribution_summary;  // SpanAttribution::ToPromptText()
-  std::string span_attribution_text;     // SpanAttribution::ToText()
-  std::string span_attribution_json;     // SpanAttribution::ToJson() dump
-  std::string perfetto_json;             // ExportChromeTrace output
-  std::string span_trace;                // raw ELMOSPN1 trace bytes
-
-  // Live-monitor verdict captured at the end of the run:
-  // GetProperty("elmo.health") JSON and its text rendering
-  // (monitor::HealthReport::ToText).
-  std::string health_json;
-  std::string health_text;
-
-  // The "IO & Cache Evidence" prompt section body; empty when the run
-  // captured no traces.
-  std::string IoCacheEvidence() const;
-
-  // The "Latency Attribution Evidence" prompt section body; empty when
-  // the run captured no span trace.
-  std::string LatencyAttributionEvidence() const {
-    return span_attribution_summary;
-  }
-
-  // The "Health & Diagnosis Evidence" prompt section body; empty when
-  // the run recorded no health verdict.
-  std::string HealthEvidence() const { return health_text; }
+  // Offline-analyzer results from the run's IO, block-cache and span
+  // traces (bench_kit/io_analyzer.h, cache_sim.h, span_analyzer.h), and
+  // the live monitor's verdict at the end of the run. Each is empty when
+  // the run captured nothing for it. ToReport renders them as text and
+  // ToJson embeds their documents.
+  std::optional<IOAnalysis> io_analysis;
+  std::optional<CacheSimResult> cache_sim;
+  // The scaled block_cache_size the run used: the capacity the
+  // miss-ratio text marks "(configured)".
+  uint64_t scaled_block_cache_size = 0;
+  std::optional<SpanAttribution> span_attribution;
+  std::optional<monitor::HealthReport> health;
+  // Raw ELMOSPN1 span-trace bytes: the run's SimEnv dies with the run,
+  // so callers that persist the trace read it here.
+  std::string span_trace;
 
   // Convenience accessors used by tables/figures.
   double p99_write_us() const {

@@ -25,19 +25,17 @@ uint64_t Percentile(const std::vector<uint64_t>& sorted, double pct) {
   return sorted[idx];
 }
 
-// Round a share to 4 decimals so JSON output is deterministic across
-// libm implementations.
-double Round4(double v) {
-  return static_cast<double>(static_cast<int64_t>(v * 10000.0 + 0.5)) /
-         10000.0;
-}
-
 struct KindAccum {
   std::vector<uint64_t> durations;
   std::vector<const SpanTree*> trees;
 };
 
 }  // namespace
+
+double Round4(double v) {
+  return static_cast<double>(static_cast<int64_t>(v * 10000.0 + 0.5)) /
+         10000.0;
+}
 
 json::Object SpanAttribution::ToJson() const {
   json::Object doc;
@@ -97,27 +95,6 @@ std::string SpanAttribution::ToText() const {
                (unsigned long long)c.total_us);
       out += buf;
     }
-  }
-  return out;
-}
-
-std::string SpanAttribution::ToPromptText() const {
-  std::string out;
-  char buf[160];
-  for (const SpanOpAttribution& op : ops) {
-    snprintf(buf, sizeof(buf), "%s: p50=%lluus p99=%lluus p999=%lluus",
-             op.op.c_str(), (unsigned long long)op.p50_us,
-             (unsigned long long)op.p99_us, (unsigned long long)op.p999_us);
-    out += buf;
-    if (!op.tail_components.empty()) {
-      out += " | p99 tail breakdown:";
-      for (const auto& c : op.tail_components) {
-        snprintf(buf, sizeof(buf), " %s %.1f%%", c.name.c_str(),
-                 c.share * 100.0);
-        out += buf;
-      }
-    }
-    out += '\n';
   }
   return out;
 }

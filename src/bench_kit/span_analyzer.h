@@ -60,9 +60,12 @@ struct SpanAttribution {
   json::Object ToJson() const;
   // Human-readable attribution tables (elmo_dump / bench report).
   std::string ToText() const;
-  // Compact per-op p99 decomposition for the tuning prompt.
-  std::string ToPromptText() const;
 };
+
+// Round a share or mean to 4 decimals, as SpanAttribution::ToJson
+// publishes it, so JSON output is deterministic across libm
+// implementations.
+double Round4(double v);
 
 // Read the span trace at `path` through `env` and attribute. Fails with
 // Corruption on a damaged trace; an empty trace yields empty `ops`.

@@ -13,46 +13,6 @@ void AppendFenced(const std::string& body, std::string* p) {
   *p += "```\n\n";
 }
 
-// The sections rendered from the best run so far. The report inlines
-// the full engine statistics dump, so they get no section of their own.
-void AppendEvidence(const bench::BenchResult& r, std::string* p) {
-  *p += "## Last Benchmark Report\n";
-  *p += r.ToReport();
-  *p += "\n";
-
-  if (!r.timeseries.empty()) {
-    *p += "## Telemetry Over The Run\n";
-    *p += "Per-interval engine samples (condensed). Watch for throughput "
-          "collapses, stall spikes, and growing compaction debt:\n";
-    AppendFenced(bench::TimeSeriesTable(r.timeseries, 12), p);
-  }
-
-  const std::string io_cache = r.IoCacheEvidence();
-  if (!io_cache.empty()) {
-    *p += "## IO & Cache Evidence\n";
-    *p += "Measured device IO attribution and the simulated miss-ratio "
-          "curve from the engine's traces:\n";
-    AppendFenced(io_cache, p);
-  }
-
-  const std::string latency = r.LatencyAttributionEvidence();
-  if (!latency.empty()) {
-    *p += "## Latency Attribution Evidence\n";
-    *p += "Per-op latency percentiles from the span trace, with the p99 "
-          "tail decomposed into engine-phase self-time shares:\n";
-    AppendFenced(latency, p);
-  }
-
-  const std::string health = r.HealthEvidence();
-  if (!health.empty()) {
-    *p += "## Health & Diagnosis Evidence\n";
-    *p += "The engine's live monitor ran during the benchmark. Its "
-          "anomaly events and ranked root-cause diagnoses (each with "
-          "suggested options to revisit):\n";
-    AppendFenced(health, p);
-  }
-}
-
 }  // namespace
 
 std::string PromptGenerator::SystemMessage() {
@@ -81,7 +41,14 @@ std::string PromptGenerator::Generate(const PromptInputs& in) {
   p += "## Current Configuration\n";
   p += "```ini\n" + in.current_options_ini + "```\n\n";
 
-  if (in.best != nullptr) AppendEvidence(*in.best, &p);
+  // The best run so far. Its report carries every piece of evidence
+  // once: engine statistics, throughput over time, IO & cache, latency
+  // attribution and health.
+  if (in.best != nullptr) {
+    p += "## Last Benchmark Report\n";
+    p += in.best->ToReport();
+    p += "\n";
+  }
 
   if (!in.deterioration_note.empty()) {
     p += "## Feedback\n";

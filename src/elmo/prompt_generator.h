@@ -19,9 +19,8 @@ struct PromptInputs {
   sysinfo::SystemProfile system;
   std::string workload_description;
   std::string current_options_ini;   // the best-known options file text
-  // The best run so far. Its report, telemetry over time, IO & cache,
-  // latency-attribution and health evidence each become a prompt
-  // section; null leaves them all out.
+  // The best run so far; its report becomes the "Last Benchmark
+  // Report" section. Null leaves the section out.
   const bench::BenchResult* best = nullptr;
   // Set when the previous iteration was reverted (the paper's
   // "intermediate prompt with the information about deterioration").

@@ -2297,7 +2297,7 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     if (health_ == nullptr) {
       *value = "{\"status\": \"disabled\"}";
     } else {
-      *value = health_->Report().ToJson();
+      *value = json::Value(health_->Report().ToJson()).Dump();
     }
     return true;
   }

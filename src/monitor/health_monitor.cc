@@ -46,7 +46,7 @@ std::string HealthReport::ToText() const {
   return out;
 }
 
-std::string HealthReport::ToJson() const {
+json::Object HealthReport::ToJson() const {
   json::Object o;
   o["status"] = HealthStatusName(status);
   o["ts_us"] = static_cast<int64_t>(ts_us);
@@ -57,7 +57,7 @@ std::string HealthReport::ToJson() const {
   json::Array di;
   for (const Diagnosis& d : diagnoses) di.emplace_back(d.ToJson());
   o["diagnoses"] = std::move(di);
-  return json::Value(std::move(o)).Dump();
+  return o;
 }
 
 Status HealthReport::FromJson(const std::string& text, HealthReport* out) {

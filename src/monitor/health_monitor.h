@@ -14,6 +14,7 @@
 #include "lsm/stats_sampler.h"
 #include "monitor/detector.h"
 #include "monitor/diagnosis.h"
+#include "util/json.h"
 #include "util/status.h"
 
 namespace elmo::monitor {
@@ -35,7 +36,7 @@ struct HealthReport {
 
   // Multi-line human-readable rendering (bench report / prompt / CLI).
   std::string ToText() const;
-  std::string ToJson() const;
+  json::Object ToJson() const;
   static Status FromJson(const std::string& text, HealthReport* out);
 };
 

@@ -64,12 +64,7 @@ std::string HealthTimeline::ToJson() const {
     arr.emplace_back(std::move(o));
   }
   doc["ticks"] = std::move(arr);
-  json::Value final_doc;
-  // final_report.ToJson() is a serialized document; re-parse so the
-  // timeline JSON embeds it as a sub-object, not an escaped string.
-  if (json::Parse(final_report.ToJson(), &final_doc).ok()) {
-    doc["final_report"] = std::move(final_doc);
-  }
+  doc["final_report"] = final_report.ToJson();
   return json::Value(std::move(doc)).Dump(2);
 }
 

@@ -112,34 +112,39 @@ TEST(BenchRunner, ThreadsContractWallClock) {
 
 // Every benchmark run carries IO-trace and cache-sim evidence: a
 // non-empty per-kind breakdown and a >= 4-point miss-ratio curve, both
-// as prompt text and as embedded JSON.
+// in the report text and as embedded JSON.
 TEST(BenchRunner, RunProducesIoAndCacheEvidence) {
   BenchRunner runner(TestHw());
   auto spec = WorkloadSpec::ReadRandomWriteRandom(20000);
   auto r = runner.Run(spec, lsm::Options());
 
-  ASSERT_FALSE(r.io_breakdown.empty());
-  EXPECT_NE(r.io_breakdown.find("Per-kind IO"), std::string::npos);
-  EXPECT_NE(r.io_breakdown.find("wal"), std::string::npos);
+  ASSERT_TRUE(r.io_analysis.has_value());
+  const std::string io = r.io_analysis->ToPromptText();
+  EXPECT_NE(io.find("Per-kind IO"), std::string::npos);
+  EXPECT_NE(io.find("wal"), std::string::npos);
 
-  ASSERT_FALSE(r.cache_sim_summary.empty());
-  EXPECT_NE(r.cache_sim_summary.find("Miss-ratio curve"), std::string::npos);
-  EXPECT_NE(r.cache_sim_summary.find("(configured)"), std::string::npos);
+  ASSERT_TRUE(r.cache_sim.has_value());
+  EXPECT_GE(r.cache_sim->curve.size(), 4u);
+  const std::string sim =
+      r.cache_sim->ToPromptText(r.scaled_block_cache_size);
+  EXPECT_NE(sim.find("Miss-ratio curve"), std::string::npos);
+  EXPECT_NE(sim.find("(configured)"), std::string::npos);
 
-  json::Value sim;
-  ASSERT_TRUE(json::Parse(r.cache_sim_json, &sim).ok());
-  const json::Value* curve = sim.Find("curve");
+  const std::string report = r.ToReport();
+  EXPECT_NE(report.find("IO & cache evidence:\n" + io + "\n" + sim),
+            std::string::npos);
+
+  json::Value doc;
+  ASSERT_TRUE(json::Parse(r.ToJson(), &doc).ok());
+  const json::Value* io_doc = doc.Find("io_analysis");
+  ASSERT_NE(nullptr, io_doc);
+  ASSERT_NE(nullptr, io_doc->Find("by_kind"));
+  const json::Value* sim_doc = doc.Find("cache_sim");
+  ASSERT_NE(nullptr, sim_doc);
+  const json::Value* curve = sim_doc->Find("curve");
   ASSERT_NE(nullptr, curve);
   ASSERT_TRUE(curve->is_array());
   EXPECT_GE(curve->as_array().size(), 4u);
-
-  json::Value io;
-  ASSERT_TRUE(json::Parse(r.io_analysis_json, &io).ok());
-  ASSERT_NE(nullptr, io.Find("by_kind"));
-
-  // The combined evidence block reaches reports and the prompt.
-  EXPECT_NE(r.IoCacheEvidence().find("Per-kind IO"), std::string::npos);
-  EXPECT_NE(r.ToReport().find("IO & cache evidence"), std::string::npos);
 }
 
 TEST(BenchRunner, MixgraphUsesVariableValueSizes) {

@@ -11,7 +11,6 @@
 
 #include "bench_kit/bench_runner.h"
 #include "bench_kit/report.h"
-#include "elmo/prompt_generator.h"
 #include "env/sim_env.h"
 #include "lsm/db.h"
 #include "monitor/detector.h"
@@ -456,32 +455,16 @@ TEST(MonitorOffline, PrometheusFileRejectedWithHint) {
 TEST(MonitorIntegration, BenchResultCarriesHealthEvidence) {
   BenchRunner runner(HardwareProfile::Make(4, 4, DeviceModel::NvmeSsd()));
   const auto r = runner.Run(WorkloadSpec::FillRandom(20000), Options());
-  ASSERT_FALSE(r.health_json.empty());
-  ASSERT_FALSE(r.HealthEvidence().empty());
-  EXPECT_NE(r.ToReport().find("Health & diagnosis:"), std::string::npos);
+  ASSERT_TRUE(r.health.has_value());
+  const std::string text = r.health->ToText();
+  ASSERT_FALSE(text.empty());
+  EXPECT_NE(r.ToReport().find("Health & diagnosis:\n" + text),
+            std::string::npos);
   json::Value doc;
   ASSERT_TRUE(json::Parse(r.ToJson(), &doc).ok());
   const json::Value* health = doc.Find("health");
   ASSERT_NE(health, nullptr);
   EXPECT_NE(health->Find("status"), nullptr);
-}
-
-TEST(MonitorIntegration, PromptIncludesHealthSection) {
-  bench::BenchResult best;
-  best.health_text = "health: warn (12 intervals)\n";
-  tune::PromptInputs inputs;
-  inputs.workload_description = "fillrandom";
-  inputs.current_options_ini = "write_buffer_size = 1048576\n";
-  inputs.best = &best;
-  const std::string prompt = tune::PromptGenerator::Generate(inputs);
-  EXPECT_NE(prompt.find("## Health & Diagnosis Evidence"),
-            std::string::npos);
-  EXPECT_NE(prompt.find("health: warn"), std::string::npos);
-  // And absent evidence, no empty section.
-  best.health_text.clear();
-  EXPECT_EQ(tune::PromptGenerator::Generate(inputs)
-                .find("## Health & Diagnosis Evidence"),
-            std::string::npos);
 }
 
 }  // namespace

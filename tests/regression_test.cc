@@ -219,6 +219,49 @@ TEST(MatrixReport, PreVersionedFileRefused) {
   EXPECT_TRUE(cmp.HasBreach());
 }
 
+// The eight attr_p99_* metrics read the tail shares of a run's span
+// attribution; a component the tail did not show reads 0.
+TEST(MetricsFromResult, TailSharesFromSpanAttribution) {
+  auto op = [](const char* name,
+               std::vector<SpanOpAttribution::Component> comps) {
+    SpanOpAttribution a;
+    a.op = name;
+    a.tail_components = std::move(comps);
+    return a;
+  };
+  SpanAttribution attr;
+  attr.trees = 3;
+  attr.ops = {op("write", {{"wal_sync", 0.62, 620},
+                           {"stall_wait", 0.2, 200},
+                           {"self", 0.66749, 100},
+                           {"memtable_insert", 0.05, 50},
+                           {"wal_append", 0.03, 30}}),
+              op("get", {{"sst_probe", 0.4, 40}, {"self", 0.6, 60}}),
+              // Names the metrics do not map are ignored.
+              op("flush", {{"table_build", 0.9, 900}})};
+  BenchResult r;
+  r.span_attribution = attr;
+
+  const MetricMap m = MetricsFromResult(r);
+  EXPECT_EQ(m.at("attr_p99_write_wal_sync"), 0.62);
+  EXPECT_EQ(m.at("attr_p99_write_wal_append"), 0.03);
+  EXPECT_EQ(m.at("attr_p99_write_memtable"), 0.05);
+  EXPECT_EQ(m.at("attr_p99_write_stall"), 0.2);
+  // Read at the attribution document's 4 decimals (0.6675), then at 3.
+  EXPECT_EQ(m.at("attr_p99_write_self"), 0.668);
+  EXPECT_EQ(m.at("attr_p99_get_memtable"), 0.0);  // not in the tail
+  EXPECT_EQ(m.at("attr_p99_get_sst"), 0.4);
+  EXPECT_EQ(m.at("attr_p99_get_self"), 0.6);
+
+  // No attribution at all: every metric is still emitted, as 0.
+  const MetricMap empty = MetricsFromResult(BenchResult{});
+  for (const auto& [name, value] : m) {
+    if (name.rfind("attr_p99_", 0) != 0) continue;
+    ASSERT_TRUE(empty.count(name)) << name;
+    EXPECT_EQ(empty.at(name), 0.0) << name;
+  }
+}
+
 TEST(RunMatrix, SameSeedIsDeterministic) {
   // Two same-seed runs of a tiny custom matrix must agree byte-for-byte
   // on the metric blocks (the fingerprint excludes git SHA/metadata).

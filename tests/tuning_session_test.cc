@@ -185,14 +185,20 @@ TEST(TuningSession, PromptCarriesAllSections) {
   EXPECT_NE(prompt.find("## Last Benchmark Report"), std::string::npos);
   EXPECT_NE(prompt.find("ops/sec"), std::string::npos);
   EXPECT_NE(prompt.find("Do not modify: disable_wal"), std::string::npos);
-  // The span trace captured during the benchmark surfaces as a p99
-  // decomposition the model can act on.
-  EXPECT_NE(prompt.find("## Latency Attribution Evidence"),
-            std::string::npos);
-  EXPECT_NE(prompt.find("p99 tail breakdown"), std::string::npos);
 }
 
-TEST(TuningSession, PromptHoldsEveryEvidenceSectionOfTheBestRun) {
+size_t CountOf(const std::string& haystack, const std::string& needle) {
+  size_t n = 0;
+  for (size_t pos = haystack.find(needle); pos != std::string::npos;
+       pos = haystack.find(needle, pos + needle.size())) {
+    n++;
+  }
+  return n;
+}
+
+// The report carries every piece of the best run's evidence, and the
+// prompt shows each piece exactly once.
+TEST(TuningSession, PromptShowsEachPieceOfEvidenceOnce) {
   bench::BenchRunner runner(TestHw());
   llm::ScriptedLlm llm({"```ini\nmax_background_jobs = 4\n```\n"});
   TuningConfig cfg;
@@ -202,101 +208,34 @@ TEST(TuningSession, PromptHoldsEveryEvidenceSectionOfTheBestRun) {
   // Iteration 1 is prompted with the baseline as the best run.
   const bench::BenchResult& best = out.baseline;
   const std::string& prompt = out.iterations[0].prompt;
-  const std::string sections[] = {
-      best.ToReport(),
-      bench::TimeSeriesTable(best.timeseries, 12),
-      best.IoCacheEvidence(),
-      best.LatencyAttributionEvidence(),
-      best.HealthEvidence(),
+  ASSERT_TRUE(best.io_analysis.has_value());
+  ASSERT_TRUE(best.cache_sim.has_value());
+  ASSERT_TRUE(best.span_attribution.has_value());
+  ASSERT_TRUE(best.health.has_value());
+  ASSERT_FALSE(best.timeseries.empty());
+  const std::string table = bench::TimeSeriesTable(best.timeseries, 0);
+  const std::string pieces[] = {
+      best.io_analysis->ToPromptText(),
+      best.cache_sim->ToPromptText(best.scaled_block_cache_size),
+      best.span_attribution->ToText(),
+      best.health->ToText(),
+      // The table's column header: any rendering of the series has it.
+      table.substr(0, table.find('\n') + 1),
   };
-  for (const std::string& section : sections) {
-    ASSERT_FALSE(section.empty());
-    EXPECT_NE(prompt.find(section), std::string::npos) << section;
+  for (const std::string& piece : pieces) {
+    ASSERT_FALSE(piece.empty());
+    EXPECT_EQ(CountOf(prompt, piece), 1u) << piece;
   }
-  for (const char* heading :
-       {"## Last Benchmark Report", "## Telemetry Over The Run",
-        "## IO & Cache Evidence", "## Latency Attribution Evidence",
-        "## Health & Diagnosis Evidence"}) {
-    EXPECT_NE(prompt.find(heading), std::string::npos) << heading;
-  }
+  EXPECT_EQ(CountOf(prompt, "Throughput over time:\n"), 1u);
 }
 
-// Minimal inputs whose evidence comes from `best`.
-PromptInputs InputsFor(const bench::BenchResult& best) {
-  PromptInputs in;
-  in.iteration = 2;
-  in.workload_description = "fillrandom";
-  in.current_options_ini = "k = v\n";
-  in.best = &best;
-  return in;
-}
-
-TEST(PromptGenerator, NoBestRunLeavesOutEveryEvidenceSection) {
+TEST(PromptGenerator, NoBestRunLeavesOutTheReport) {
   PromptInputs in;
   in.workload_description = "fillrandom";
   in.current_options_ini = "k = v\n";
   const std::string p = PromptGenerator::Generate(in);
   EXPECT_EQ(p.find("## Last Benchmark Report"), std::string::npos);
-  EXPECT_EQ(p.find("Evidence"), std::string::npos);
   EXPECT_NE(p.find("## Instructions"), std::string::npos);
-}
-
-TEST(PromptGenerator, TimeseriesRendersTelemetrySection) {
-  bench::BenchResult best;
-  lsm::IntervalSample s;
-  s.ts_us = 250000;
-  s.interval_us = 250000;
-  s.ops = 50000;
-  s.ops_per_sec = 200000.0;
-  s.stall_fraction = 0.25;
-  best.timeseries = {s};
-  PromptInputs in = InputsFor(best);
-  std::string p = PromptGenerator::Generate(in);
-  EXPECT_NE(p.find("## Telemetry Over The Run"), std::string::npos);
-  EXPECT_NE(p.find("ops/s"), std::string::npos);
-  EXPECT_NE(p.find("200000"), std::string::npos);
-
-  // Without samples the section is omitted entirely.
-  best.timeseries.clear();
-  p = PromptGenerator::Generate(in);
-  EXPECT_EQ(p.find("## Telemetry Over The Run"), std::string::npos);
-}
-
-TEST(PromptGenerator, IoCacheEvidenceSectionRendersWhenPresent) {
-  bench::BenchResult best;
-  best.io_breakdown =
-      "Per-kind IO (from the engine's IO trace):\n"
-      "- wal: 10 ops, 4096 bytes (50.0%)\n";
-  best.cache_sim_summary =
-      "Miss-ratio curve (ghost LRU replay of the block-cache trace):\n"
-      "- 1 MiB: miss 40.0%\n";
-  PromptInputs in = InputsFor(best);
-  std::string p = PromptGenerator::Generate(in);
-  EXPECT_NE(p.find("## IO & Cache Evidence"), std::string::npos);
-  EXPECT_NE(p.find("Per-kind IO"), std::string::npos);
-  EXPECT_NE(p.find("Miss-ratio curve"), std::string::npos);
-
-  // Without evidence the section is omitted entirely.
-  best.io_breakdown.clear();
-  best.cache_sim_summary.clear();
-  p = PromptGenerator::Generate(in);
-  EXPECT_EQ(p.find("## IO & Cache Evidence"), std::string::npos);
-}
-
-TEST(PromptGenerator, LatencyAttributionSectionRendersWhenPresent) {
-  bench::BenchResult best;
-  best.span_attribution_summary =
-      "write: p50=9us p99=120us p999=400us | p99 tail breakdown: "
-      "wal_sync 62.0% stall_wait 21.0% self 17.0%\n";
-  PromptInputs in = InputsFor(best);
-  std::string p = PromptGenerator::Generate(in);
-  EXPECT_NE(p.find("## Latency Attribution Evidence"), std::string::npos);
-  EXPECT_NE(p.find("wal_sync 62.0%"), std::string::npos);
-
-  // Without attribution the section is omitted entirely.
-  best.span_attribution_summary.clear();
-  p = PromptGenerator::Generate(in);
-  EXPECT_EQ(p.find("## Latency Attribution Evidence"), std::string::npos);
 }
 
 TEST(PromptGenerator, DeteriorationNoteIncludedWhenSet) {

@@ -313,15 +313,20 @@ int main(int argc, char** argv) {
             if (c == '/') c = '_';
           }
           stem = span_dir + "/" + stem;
-          if (!result.span_trace.empty()) {
-            WriteFileBinary(stem + ".span.trace", result.span_trace);
+          if (!result.span_trace.empty() &&
+              WriteFileBinary(stem + ".span.trace", result.span_trace)) {
+            std::string perfetto;
+            if (elmo::bench::ExportChromeTrace(elmo::Env::Posix(),
+                                               stem + ".span.trace",
+                                               &perfetto)
+                    .ok()) {
+              WriteFile(stem + ".perfetto.json", perfetto);
+            }
           }
-          if (!result.perfetto_json.empty()) {
-            WriteFile(stem + ".perfetto.json", result.perfetto_json);
-          }
-          if (!result.span_attribution_json.empty()) {
+          if (result.span_attribution) {
             WriteFile(stem + ".attribution.json",
-                      result.span_attribution_json);
+                      elmo::json::Value(result.span_attribution->ToJson())
+                          .Dump());
           }
         });
     if (!WriteFile(out_path, current.ToJson())) {

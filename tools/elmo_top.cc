@@ -454,8 +454,11 @@ int main(int argc, char** argv) {
         return 1;
       }
       const HealthTimeline timeline = AnalyzeHealthSeries(samples, config);
-      out = as_json ? timeline.final_report.ToJson() + "\n"
-                    : RenderSeriesFrame(path, samples, timeline, changes);
+      if (as_json) {
+        out = elmo::json::Value(timeline.final_report.ToJson()).Dump() + "\n";
+      } else {
+        out = RenderSeriesFrame(path, samples, timeline, changes);
+      }
     }
 
     if (!once && !as_json && frame > 0) {
