@@ -4,16 +4,19 @@
 // loop.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
 
 #include "bench_kit/bench_runner.h"
+#include "bench_kit/io_analyzer.h"
 #include "elmo/online_tuner.h"
 #include "llm/expert_llm.h"
 #include "stress_kit/stress_driver.h"
 #include "env/device_model.h"
 #include "env/hardware_profile.h"
+#include "env/io_tracing_env.h"
 #include "env/mem_env.h"
 #include "env/sim_env.h"
 #include "lsm/db.h"
@@ -213,6 +216,47 @@ void BM_DbGet(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DbGet)->Arg(0)->Arg(10);
+
+// The IO trace's two halves on a MemEnv: N traced WAL appends through
+// IOTracingEnv (one record each), then AnalyzeIOTrace over the file.
+// Reports ns per record for each half.
+void BM_IOTraceRoundTrip(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const int64_t n = state.range(0);
+  MemEnv base;
+  IOTracingEnv env(&base);
+  const std::string data(100, 'x');
+  Clock::duration emit{}, analyze{};
+  for (auto _ : state) {
+    const auto t0 = Clock::now();
+    std::unique_ptr<WritableFile> wal;
+    Status s = env.NewWritableFile("/bm/000005.log", &wal);
+    if (s.ok()) s = env.trace()->Start("/bm/io.trace", 0);
+    for (int64_t i = 0; s.ok() && i < n; i++) s = wal->Append(data);
+    if (s.ok()) s = env.trace()->Stop(nullptr);
+    const auto t1 = Clock::now();
+    bench::IOAnalysis analysis;
+    if (s.ok()) {
+      s = bench::AnalyzeIOTrace(&base, "/bm/io.trace", 20, &analysis);
+    }
+    const auto t2 = Clock::now();
+    if (!s.ok() || analysis.records != static_cast<uint64_t>(n)) {
+      state.SkipWithError("io trace round trip failed");
+      return;
+    }
+    emit += t1 - t0;
+    analyze += t2 - t1;
+  }
+  const double records = static_cast<double>(state.iterations() * n);
+  auto ns = [](Clock::duration d) {
+    return static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
+  };
+  state.counters["emit_ns_per_record"] = ns(emit) / records;
+  state.counters["analyze_ns_per_record"] = ns(analyze) / records;
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_IOTraceRoundTrip)->Arg(20000);
 
 }  // namespace
 

@@ -105,7 +105,7 @@ IOFileKind ClassifyIOFileKind(const std::string& fname, bool hint_metadata) {
   if (base.rfind("MANIFEST-", 0) == 0) return IOFileKind::kManifest;
   if (HasNumericSuffix(base, ".log")) return IOFileKind::kWal;
   if (HasNumericSuffix(base, ".sst")) {
-    return hint_metadata ? IOFileKind::kSstIndexFilter : IOFileKind::kSstData;
+    return WithMetadataHint(IOFileKind::kSstData, hint_metadata);
   }
   return IOFileKind::kOther;
 }
@@ -128,17 +128,19 @@ IOMetadataHintScope::~IOMetadataHintScope() { tls_io_metadata_hint = saved_; }
 
 IOTracer::IOTracer(Env* env) : RecordTrace(env, kIOTraceFormat) {}
 
-void IOTracer::AddRecord(const IOTraceRecord& rec) {
-  Append([&rec](std::string* payload) {
-    payload->push_back(static_cast<char>(rec.op));
-    payload->push_back(static_cast<char>(rec.kind));
-    payload->push_back(static_cast<char>(rec.context));
-    PutFixed64(payload, rec.ts_us);
-    PutFixed64(payload, rec.offset);
-    PutFixed64(payload, rec.len);
-    PutFixed64(payload, rec.latency_us);
-    PutVarint32(payload, static_cast<uint32_t>(rec.fname.size()));
-    payload->append(rec.fname);
+void IOTracer::AddRecord(IOOp op, IOFileKind kind, IOContextTag context,
+                         uint64_t ts_us, uint64_t offset, uint64_t len,
+                         uint64_t latency_us, const Slice& fname) {
+  Append([&](std::string* payload) {
+    payload->push_back(static_cast<char>(op));
+    payload->push_back(static_cast<char>(kind));
+    payload->push_back(static_cast<char>(context));
+    PutFixed64(payload, ts_us);
+    PutFixed64(payload, offset);
+    PutFixed64(payload, len);
+    PutFixed64(payload, latency_us);
+    PutVarint32(payload, static_cast<uint32_t>(fname.size()));
+    payload->append(fname.data(), fname.size());
     return true;
   });
 }
@@ -150,7 +152,7 @@ Status IOTraceReader::Open(const std::string& path) {
 }
 
 Status IOTraceReader::Next(IOTraceRecord* rec, bool* eof) {
-  std::string payload;
+  Slice payload;
   Status s = file_.Next(&payload, eof);
   if (!s.ok() || *eof) return s;
 

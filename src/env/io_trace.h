@@ -65,6 +65,14 @@ const char* IOContextTagName(IOContextTag tag);
 // elevates an SST read to kSstIndexFilter.
 IOFileKind ClassifyIOFileKind(const std::string& fname, bool hint_metadata);
 
+// The kind of one IO on a file of kind `file_kind` (classified without
+// the hint): kSstIndexFilter for an SST IO under `hint_metadata`.
+inline IOFileKind WithMetadataHint(IOFileKind file_kind, bool hint_metadata) {
+  return file_kind == IOFileKind::kSstData && hint_metadata
+             ? IOFileKind::kSstIndexFilter
+             : file_kind;
+}
+
 // ---------------------------------------------------------------------
 // Thread-local attribution state.
 
@@ -123,7 +131,16 @@ class IOTracer : public RecordTrace {
   explicit IOTracer(Env* env);
 
   // No-op unless a trace is active.
-  void AddRecord(const IOTraceRecord& rec);
+  void AddRecord(const IOTraceRecord& rec) {
+    AddRecord(rec.op, rec.kind, rec.context, rec.ts_us, rec.offset, rec.len,
+              rec.latency_us, rec.fname);
+  }
+  // The same record from its fields, encoded straight into the frame:
+  // the hot path (IOTracingEnv) builds no IOTraceRecord and copies the
+  // file name only into the trace.
+  void AddRecord(IOOp op, IOFileKind kind, IOContextTag context,
+                 uint64_t ts_us, uint64_t offset, uint64_t len,
+                 uint64_t latency_us, const Slice& fname);
 };
 
 class IOTraceReader {

@@ -6,22 +6,46 @@ namespace elmo {
 
 namespace {
 
-class TracingSequentialFile : public SequentialFile {
+// What every traced file keeps: its env, its name, and its kind,
+// classified once at open (the per-IO metadata hint is thread state, so
+// it is applied per record).
+class TracedFile {
+ public:
+  TracedFile(IOTracingEnv* env, std::string fname)
+      : env_(env),
+        fname_(std::move(fname)),
+        kind_(ClassifyIOFileKind(fname_, /*hint_metadata=*/false)) {}
+
+ protected:
+  bool tracing() const { return env_->tracing(); }
+  uint64_t Now() const { return env_->base()->NowMicros(); }
+  void Emit(IOOp op, uint64_t offset, uint64_t len, uint64_t start_us,
+            uint64_t end_us) const {
+    env_->Emit(op, kind_, fname_, offset, len, start_us, end_us);
+  }
+
+ private:
+  IOTracingEnv* const env_;
+  const std::string fname_;
+  const IOFileKind kind_;
+};
+
+class TracingSequentialFile : public SequentialFile, private TracedFile {
  public:
   TracingSequentialFile(IOTracingEnv* env, std::string fname,
                         std::unique_ptr<SequentialFile> target)
-      : env_(env), fname_(std::move(fname)), target_(std::move(target)) {}
+      : TracedFile(env, std::move(fname)), target_(std::move(target)) {}
 
   Status Read(size_t n, Slice* result, char* scratch) override {
-    if (!env_->tracing()) {
+    if (!tracing()) {
       Status s = target_->Read(n, result, scratch);
       offset_ += result->size();
       return s;
     }
-    const uint64_t start = env_->base()->NowMicros();
+    const uint64_t start = Now();
     Status s = target_->Read(n, result, scratch);
-    const uint64_t end = env_->base()->NowMicros();
-    env_->Emit(IOOp::kRead, fname_, offset_, result->size(), start, end);
+    const uint64_t end = Now();
+    Emit(IOOp::kRead, offset_, result->size(), start, end);
     offset_ += result->size();
     return s;
   }
@@ -33,25 +57,23 @@ class TracingSequentialFile : public SequentialFile {
   }
 
  private:
-  IOTracingEnv* const env_;
-  const std::string fname_;
   std::unique_ptr<SequentialFile> target_;
   uint64_t offset_ = 0;
 };
 
-class TracingRandomAccessFile : public RandomAccessFile {
+class TracingRandomAccessFile : public RandomAccessFile, private TracedFile {
  public:
   TracingRandomAccessFile(IOTracingEnv* env, std::string fname,
                           std::unique_ptr<RandomAccessFile> target)
-      : env_(env), fname_(std::move(fname)), target_(std::move(target)) {}
+      : TracedFile(env, std::move(fname)), target_(std::move(target)) {}
 
   Status Read(uint64_t offset, size_t n, Slice* result,
               char* scratch) const override {
-    if (!env_->tracing()) return target_->Read(offset, n, result, scratch);
-    const uint64_t start = env_->base()->NowMicros();
+    if (!tracing()) return target_->Read(offset, n, result, scratch);
+    const uint64_t start = Now();
     Status s = target_->Read(offset, n, result, scratch);
-    const uint64_t end = env_->base()->NowMicros();
-    env_->Emit(IOOp::kRead, fname_, offset, result->size(), start, end);
+    const uint64_t end = Now();
+    Emit(IOOp::kRead, offset, result->size(), start, end);
     return s;
   }
 
@@ -60,24 +82,22 @@ class TracingRandomAccessFile : public RandomAccessFile {
   }
 
  private:
-  IOTracingEnv* const env_;
-  const std::string fname_;
   std::unique_ptr<RandomAccessFile> target_;
 };
 
-class TracingWritableFile : public WritableFile {
+class TracingWritableFile : public WritableFile, private TracedFile {
  public:
   TracingWritableFile(IOTracingEnv* env, std::string fname,
                       std::unique_ptr<WritableFile> target)
-      : env_(env), fname_(std::move(fname)), target_(std::move(target)) {}
+      : TracedFile(env, std::move(fname)), target_(std::move(target)) {}
 
   Status Append(const Slice& data) override {
+    if (!tracing()) return target_->Append(data);
     const uint64_t offset = target_->GetFileSize();
-    if (!env_->tracing()) return target_->Append(data);
-    const uint64_t start = env_->base()->NowMicros();
+    const uint64_t start = Now();
     Status s = target_->Append(data);
-    const uint64_t end = env_->base()->NowMicros();
-    env_->Emit(IOOp::kWrite, fname_, offset, data.size(), start, end);
+    const uint64_t end = Now();
+    Emit(IOOp::kWrite, offset, data.size(), start, end);
     return s;
   }
 
@@ -85,28 +105,26 @@ class TracingWritableFile : public WritableFile {
   Status Flush() override { return target_->Flush(); }
 
   Status Sync() override {
-    if (!env_->tracing()) return target_->Sync();
-    const uint64_t start = env_->base()->NowMicros();
+    if (!tracing()) return target_->Sync();
+    const uint64_t start = Now();
     Status s = target_->Sync();
-    const uint64_t end = env_->base()->NowMicros();
-    env_->Emit(IOOp::kSync, fname_, 0, 0, start, end);
+    const uint64_t end = Now();
+    Emit(IOOp::kSync, 0, 0, start, end);
     return s;
   }
 
   Status RangeSync(uint64_t offset) override {
-    if (!env_->tracing()) return target_->RangeSync(offset);
-    const uint64_t start = env_->base()->NowMicros();
+    if (!tracing()) return target_->RangeSync(offset);
+    const uint64_t start = Now();
     Status s = target_->RangeSync(offset);
-    const uint64_t end = env_->base()->NowMicros();
-    env_->Emit(IOOp::kRangeSync, fname_, offset, 0, start, end);
+    const uint64_t end = Now();
+    Emit(IOOp::kRangeSync, offset, 0, start, end);
     return s;
   }
 
   uint64_t GetFileSize() const override { return target_->GetFileSize(); }
 
  private:
-  IOTracingEnv* const env_;
-  const std::string fname_;
   std::unique_ptr<WritableFile> target_;
 };
 
@@ -114,18 +132,13 @@ class TracingWritableFile : public WritableFile {
 
 IOTracingEnv::IOTracingEnv(Env* base) : EnvWrapper(base), trace_(base) {}
 
-void IOTracingEnv::Emit(IOOp op, const std::string& fname, uint64_t offset,
+void IOTracingEnv::Emit(IOOp op, IOFileKind file_kind,
+                        const std::string& fname, uint64_t offset,
                         uint64_t len, uint64_t start_us, uint64_t end_us) {
-  IOTraceRecord rec;
-  rec.op = op;
-  rec.kind = ClassifyIOFileKind(fname, CurrentIOMetadataHint());
-  rec.context = CurrentIOContext();
-  rec.ts_us = start_us;
-  rec.offset = offset;
-  rec.len = len;
-  rec.latency_us = end_us >= start_us ? end_us - start_us : 0;
-  rec.fname = fname;
-  trace_.AddRecord(rec);  // a failed append drops the record, not the op
+  // A failed append drops the record, not the op.
+  trace_.AddRecord(op, WithMetadataHint(file_kind, CurrentIOMetadataHint()),
+                   CurrentIOContext(), start_us, offset, len,
+                   end_us >= start_us ? end_us - start_us : 0, fname);
 }
 
 Status IOTracingEnv::NewSequentialFile(

@@ -24,11 +24,13 @@ class IOTracingEnv : public EnvWrapper {
   IOTracer* trace() { return &trace_; }
   bool tracing() const { return trace_.active(); }
 
-  // Internal: called by the file wrappers. Latency is (end_us - start_us)
-  // measured on the base env's clock before the record is serialized, so
-  // the tracer's own writes never inflate it.
-  void Emit(IOOp op, const std::string& fname, uint64_t offset, uint64_t len,
-            uint64_t start_us, uint64_t end_us);
+  // Internal: called by the file wrappers, with the kind they classified
+  // for their file at open. Latency is (end_us - start_us) measured on
+  // the base env's clock before the record is serialized, so the
+  // tracer's own writes never inflate it.
+  void Emit(IOOp op, IOFileKind file_kind, const std::string& fname,
+            uint64_t offset, uint64_t len, uint64_t start_us,
+            uint64_t end_us);
 
   // File factories wrap; everything else forwards (EnvWrapper).
   Status NewSequentialFile(const std::string& fname,

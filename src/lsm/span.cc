@@ -360,7 +360,7 @@ Status SpanTraceReader::Open(const std::string& path) {
 }
 
 Status SpanTraceReader::Next(SpanTree* tree, bool* eof) {
-  std::string payload;
+  Slice payload;
   Status s = file_.Next(&payload, eof);
   if (!s.ok() || *eof) return s;
 

@@ -34,7 +34,7 @@ TraceReader::TraceReader(Env* env) : file_(env, kTraceFormat) {}
 Status TraceReader::Open(const std::string& path) { return file_.Open(path); }
 
 Status TraceReader::Next(TraceRecord* rec, bool* eof) {
-  std::string payload;
+  Slice payload;
   Status s = file_.Next(&payload, eof);
   if (!s.ok() || *eof) return s;
 

@@ -53,7 +53,7 @@ Status BlockCacheTraceReader::Open(const std::string& path) {
 }
 
 Status BlockCacheTraceReader::Next(BlockCacheAccessRecord* rec, bool* eof) {
-  std::string payload;
+  Slice payload;
   Status s = file_.Next(&payload, eof);
   if (!s.ok() || *eof) return s;
 

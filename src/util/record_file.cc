@@ -1,5 +1,6 @@
 #include "util/record_file.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/coding.h"
@@ -11,7 +12,6 @@ namespace {
 
 constexpr size_t kMagicSize = 8;
 constexpr size_t kHeaderSize = kMagicSize + 4 + 8;
-constexpr size_t kFrameHeaderSize = 4 + 4;  // masked crc + payload length
 
 }  // namespace
 
@@ -64,11 +64,10 @@ uint64_t RecordTrace::records() const {
 }
 
 void RecordTrace::AppendLocked() {
-  frame_.clear();
-  PutFixed32(&frame_,
-             crc32c::Mask(crc32c::Value(payload_.data(), payload_.size())));
-  PutFixed32(&frame_, static_cast<uint32_t>(payload_.size()));
-  frame_.append(payload_);
+  const char* payload = frame_.data() + kRecordFrameHeaderSize;
+  const size_t len = frame_.size() - kRecordFrameHeaderSize;
+  EncodeFixed32(&frame_[0], crc32c::Mask(crc32c::Value(payload, len)));
+  EncodeFixed32(&frame_[4], static_cast<uint32_t>(len));
   if (file_->Append(Slice(frame_)).ok()) records_++;
 }
 
@@ -83,69 +82,80 @@ Status RecordFileReader::Corruption(const char* what) const {
 }
 
 Status RecordFileReader::Open(const std::string& path) {
+  pos_ = end_ = 0;
   Status s = env_->NewSequentialFile(path, &file_);
   if (!s.ok()) return s;
-  std::string header;
   bool eof = false;
-  s = ReadFully(kHeaderSize, &header, &eof);
+  s = Fill(kHeaderSize, &eof);
   if (!s.ok()) return s;
-  if (eof || memcmp(header.data(), format_.magic, kMagicSize) != 0) {
+  const char* header = buf_.data() + pos_;
+  if (eof || memcmp(header, format_.magic, kMagicSize) != 0) {
     return Corruption("not an elmo % file");
   }
-  if (DecodeFixed32(header.data() + kMagicSize) != format_.version) {
+  if (DecodeFixed32(header + kMagicSize) != format_.version) {
     return Corruption("unsupported % version");
   }
-  base_ts_us_ = DecodeFixed64(header.data() + kMagicSize + 4);
+  base_ts_us_ = DecodeFixed64(header + kMagicSize + 4);
+  pos_ += kHeaderSize;
   return Status::OK();
 }
 
-Status RecordFileReader::ReadFully(size_t n, std::string* out,
-                                   bool* clean_eof) {
-  out->assign(n, '\0');
+Status RecordFileReader::Fill(size_t n, bool* clean_eof) {
   *clean_eof = false;
-  size_t got = 0;
-  while (got < n) {
+  if (end_ - pos_ >= n) return Status::OK();
+  // Move the unread tail to the front, then read whole chunks behind it
+  // (a larger read only for a record bigger than a chunk).
+  const size_t unread = end_ - pos_;
+  if (pos_ > 0) {
+    memmove(buf_.data(), buf_.data() + pos_, unread);
+    pos_ = 0;
+    end_ = unread;
+  }
+  while (end_ < n) {
+    const size_t request = std::max(kChunkSize, n - end_);
+    if (buf_.size() < end_ + request) buf_.resize(end_ + request);
+    char* dst = buf_.data() + end_;
     Slice chunk;
-    Status s = file_->Read(n - got, &chunk, &(*out)[got]);
+    Status s = file_->Read(request, &chunk, dst);
     if (!s.ok()) return s;
     if (chunk.empty()) {
-      if (got == 0) {
-        out->clear();
+      if (end_ == 0) {
         *clean_eof = true;
         return Status::OK();
       }
       return Corruption("truncated % record");
     }
     // The file may return data in its own buffer; normalize into ours.
-    if (chunk.data() != out->data() + got) {
-      memcpy(&(*out)[got], chunk.data(), chunk.size());
-    }
-    got += chunk.size();
+    if (chunk.data() != dst) memmove(dst, chunk.data(), chunk.size());
+    end_ += chunk.size();
   }
   return Status::OK();
 }
 
-Status RecordFileReader::Next(std::string* payload, bool* eof) {
+Status RecordFileReader::Next(Slice* payload, bool* eof) {
   *eof = false;
   if (file_ == nullptr) {
     return Status::IOError(std::string(format_.noun) + " reader not open");
   }
-  std::string frame_header;
-  Status s = ReadFully(kFrameHeaderSize, &frame_header, eof);
+  Status s = Fill(kRecordFrameHeaderSize, eof);
   if (!s.ok() || *eof) return s;
-  const uint32_t expected_crc =
-      crc32c::Unmask(DecodeFixed32(frame_header.data()));
-  const uint32_t len = DecodeFixed32(frame_header.data() + 4);
+  const char* frame_header = buf_.data() + pos_;
+  const uint32_t expected_crc = crc32c::Unmask(DecodeFixed32(frame_header));
+  const uint32_t len = DecodeFixed32(frame_header + 4);
   if (len < format_.min_payload || len > format_.max_payload) {
     return Corruption("bad % record length");
   }
+  pos_ += kRecordFrameHeaderSize;
   bool payload_eof = false;
-  s = ReadFully(len, payload, &payload_eof);
+  s = Fill(len, &payload_eof);
   if (!s.ok()) return s;
   if (payload_eof) return Corruption("truncated % record");
-  if (crc32c::Value(payload->data(), payload->size()) != expected_crc) {
+  const char* data = buf_.data() + pos_;  // Fill may have moved the bytes
+  if (crc32c::Value(data, len) != expected_crc) {
     return Corruption("% record checksum mismatch");
   }
+  pos_ += len;
+  *payload = Slice(data, len);
   return Status::OK();
 }
 

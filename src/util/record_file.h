@@ -14,6 +14,14 @@
 // surfaces as Status::Corruption from RecordFileReader::Next. Files are
 // written and read through an Env, so a trace on SimEnv is charged and
 // stored like any other engine file.
+//
+// Both sides cost about what their bytes cost. A writer encodes each
+// payload behind the frame header's reserved bytes and appends the
+// frame with one WritableFile::Append, without copying the payload. The
+// reader reads its file in 64 KiB chunks into one buffer it owns, and
+// Next hands out each payload as a Slice into that buffer: it stays
+// valid until the next call to Next or Open, so a typed reader decodes
+// from it and copies out only what it keeps.
 #pragma once
 
 #include <atomic>
@@ -22,12 +30,16 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "env/env.h"
 #include "util/slice.h"
 #include "util/status.h"
 
 namespace elmo {
+
+// The bytes in front of each payload: masked crc32c + payload_len.
+inline constexpr size_t kRecordFrameHeaderSize = 4 + 4;
 
 // What identifies and bounds one trace format.
 struct RecordFormat {
@@ -72,20 +84,21 @@ class RecordTrace {
   Env* env() const { return env_; }
 
   // While a trace is active, `encode(std::string* payload)` runs under
-  // the mutex on a cleared, reused buffer; returning true appends the
-  // buffer as one record (a single WritableFile::Append), false writes
-  // nothing.
+  // the mutex and appends the payload to a reused buffer; returning true
+  // appends it as one record (a single WritableFile::Append), false
+  // writes nothing. The buffer already holds the frame header's
+  // reserved bytes, so an encoder only ever appends to it.
   template <typename Encode>
   void Append(Encode&& encode) {
     if (!active()) return;
     std::lock_guard<std::mutex> l(mu_);
     if (file_ == nullptr) return;  // raced a Stop
-    payload_.clear();
-    if (encode(&payload_)) AppendLocked();
+    frame_.assign(kRecordFrameHeaderSize, '\0');
+    if (encode(&frame_)) AppendLocked();
   }
 
  private:
-  void AppendLocked();  // frames payload_ into frame_ and appends it
+  void AppendLocked();  // fills in frame_'s header and appends it
 
   Env* const env_;
   const RecordFormat format_;
@@ -93,12 +106,13 @@ class RecordTrace {
   mutable std::mutex mu_;
   std::unique_ptr<WritableFile> file_;  // open iff a trace is active
   uint64_t records_ = 0;
-  std::string payload_;
-  std::string frame_;
+  std::string frame_;  // frame header | payload of the record being built
 };
 
 // Reads framed payloads back, checking the header, every record's length
-// bounds and its CRC.
+// bounds and its CRC. Reads the file in chunks of kChunkSize bytes (more
+// only for a record that does not fit one), so a file of B bytes costs
+// about ceil(B / kChunkSize) + 1 SequentialFile::Read calls.
 class RecordFileReader {
  public:
   RecordFileReader(Env* env, const RecordFormat& format);
@@ -106,26 +120,33 @@ class RecordFileReader {
   RecordFileReader(const RecordFileReader&) = delete;
   RecordFileReader& operator=(const RecordFileReader&) = delete;
 
+  static constexpr size_t kChunkSize = 64 << 10;
+
   // Open `path` and validate the magic and version.
   Status Open(const std::string& path);
 
-  // Read the next payload. Sets *eof=true (with OK status) at a clean
-  // end of file; returns Corruption on a bad length, a bad CRC or a
-  // truncated record.
-  Status Next(std::string* payload, bool* eof);
+  // Read the next payload into *payload, a view of the reader's buffer
+  // that stays valid until the next call to Next or Open. Sets *eof=true
+  // (with OK status) at a clean end of file; returns Corruption on a bad
+  // length, a bad CRC or a truncated record.
+  Status Next(Slice* payload, bool* eof);
 
   uint64_t base_ts_us() const { return base_ts_us_; }
 
  private:
-  // Read exactly n bytes into *out. *clean_eof=true (OK) when the file
-  // ends before the first byte; Corruption when it ends mid-way.
-  Status ReadFully(size_t n, std::string* out, bool* clean_eof);
+  // Make n unread bytes available at buf_[pos_]. *clean_eof=true (OK)
+  // when the file ends before the first of them; Corruption when it
+  // ends mid-way.
+  Status Fill(size_t n, bool* clean_eof);
   Status Corruption(const char* what) const;
 
   Env* const env_;
   const RecordFormat format_;
   std::unique_ptr<SequentialFile> file_;
   uint64_t base_ts_us_ = 0;
+  std::vector<char> buf_;  // bytes read from file_; [pos_, end_) unread
+  size_t pos_ = 0;
+  size_t end_ = 0;
 };
 
 }  // namespace elmo

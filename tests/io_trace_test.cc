@@ -9,6 +9,8 @@
 #include <string>
 
 #include "bench_kit/io_analyzer.h"
+#include "env/io_tracing_env.h"
+#include "env/mem_env.h"
 #include "env/sim_env.h"
 #include "lsm/db.h"
 
@@ -128,6 +130,82 @@ TEST_F(IOTraceFileTest, CorruptedRecordRejected) {
   ASSERT_TRUE(env_.WriteStringToFile("not a trace", "/t/junk").ok());
   IOTraceReader reader3(&env_);
   EXPECT_FALSE(reader3.Open("/t/junk").ok());
+}
+
+// Analysis reads the trace in whole chunks: on SimEnv every Read is a
+// charged IO under the env's mutex, so the count is the cost.
+TEST_F(IOTraceFileTest, AnalysisReadsTheTraceInChunks) {
+  IOTracer tracer(&env_);
+  ASSERT_TRUE(tracer.Start("/io.trace", 0).ok());
+  const uint64_t n = 20000;
+  for (uint64_t i = 0; i < n; i++) tracer.AddRecord(MakeRecord(i));
+  ASSERT_TRUE(tracer.Stop(nullptr).ok());
+  uint64_t file_bytes = 0;
+  ASSERT_TRUE(env_.GetFileSize("/io.trace", &file_bytes).ok());
+
+  const uint64_t reads_before = env_.io_stats().reads;
+  bench::IOAnalysis analysis;
+  ASSERT_TRUE(bench::AnalyzeIOTrace(&env_, "/io.trace", 10, &analysis).ok());
+  const uint64_t reads = env_.io_stats().reads - reads_before;
+  EXPECT_EQ(n, analysis.records);
+  const uint64_t chunk = RecordFileReader::kChunkSize;
+  EXPECT_LE(reads, (file_bytes + chunk - 1) / chunk + 2)
+      << file_bytes << " bytes, " << n << " records";
+}
+
+// The tracing env classifies each file once, at open; the metadata hint
+// is thread state at the IO, so one SST handle yields both SST kinds.
+TEST(IOTracingEnv, FileKindsFromOpenAndHintFromTheIO) {
+  MemEnv base;
+  IOTracingEnv env(&base);
+  ASSERT_TRUE(env.CreateDirIfMissing("/db").ok());
+  const std::vector<std::pair<std::string, IOFileKind>> written = {
+      {"/db/000005.log", IOFileKind::kWal},
+      {"/db/MANIFEST-000002", IOFileKind::kManifest},
+      {"/db/CURRENT", IOFileKind::kCurrent},
+      {"/db/LOG", IOFileKind::kInfoLog},
+      {"/db/000007.sst", IOFileKind::kSstData}};
+  std::vector<std::unique_ptr<WritableFile>> files;
+  for (const auto& [name, kind] : written) {
+    files.emplace_back();
+    ASSERT_TRUE(env.NewWritableFile(name, &files.back()).ok()) << name;
+  }
+
+  ASSERT_TRUE(env.trace()->Start("/io.trace", 0).ok());
+  for (auto& f : files) ASSERT_TRUE(f->Append(Slice(std::string(64, 'x'))).ok());
+  std::unique_ptr<RandomAccessFile> sst;
+  ASSERT_TRUE(env.NewRandomAccessFile("/db/000007.sst", &sst).ok());
+  char scratch[16];
+  Slice got;
+  ASSERT_TRUE(sst->Read(0, 16, &got, scratch).ok());
+  {
+    IOMetadataHintScope hint;
+    ASSERT_TRUE(sst->Read(16, 16, &got, scratch).ok());
+    // The hint is about SST blocks; it does not relabel other files.
+    ASSERT_TRUE(files[0]->Sync().ok());
+  }
+  std::unique_ptr<SequentialFile> wal;
+  ASSERT_TRUE(env.NewSequentialFile("/db/000005.log", &wal).ok());
+  ASSERT_TRUE(wal->Read(8, &got, scratch).ok());
+  ASSERT_TRUE(env.trace()->Stop(nullptr).ok());
+
+  std::vector<std::pair<std::string, IOFileKind>> want = written;
+  want.emplace_back("/db/000007.sst", IOFileKind::kSstData);
+  want.emplace_back("/db/000007.sst", IOFileKind::kSstIndexFilter);
+  want.emplace_back("/db/000005.log", IOFileKind::kWal);
+  want.emplace_back("/db/000005.log", IOFileKind::kWal);
+  IOTraceReader reader(&base);
+  ASSERT_TRUE(reader.Open("/io.trace").ok());
+  IOTraceRecord rec;
+  bool eof = false;
+  for (const auto& [name, kind] : want) {
+    ASSERT_TRUE(reader.Next(&rec, &eof).ok());
+    ASSERT_FALSE(eof);
+    EXPECT_EQ(name, rec.fname);
+    EXPECT_EQ(kind, rec.kind) << name << " got " << IOFileKindName(rec.kind);
+  }
+  ASSERT_TRUE(reader.Next(&rec, &eof).ok());
+  EXPECT_TRUE(eof);
 }
 
 // ---------------------------------------------------------------------
