@@ -61,16 +61,16 @@ struct MatrixReport {
 // Runs every cell on a fresh seeded BenchRunner under the engine's
 // default options (the trajectory tracks the *engine*, not a tuner).
 // `on_cell` (optional) observes progress; `on_result` (optional) sees
-// the full BenchResult per cell — how the CLI exports span-trace /
-// Perfetto / attribution artifacts without RunMatrix knowing about
-// filesystems.
+// the full BenchResult per cell and the raw bytes of its span trace —
+// how the CLI exports span-trace / Perfetto / attribution artifacts
+// without RunMatrix knowing about filesystems.
 MatrixReport RunMatrix(
     const std::vector<MatrixCell>& cells, uint64_t seed,
     const std::string& mode,
     const std::function<void(const MatrixCell&, const MetricMap&)>& on_cell =
         {},
-    const std::function<void(const MatrixCell&, const BenchResult&)>&
-        on_result = {});
+    const std::function<void(const MatrixCell&, const BenchResult&,
+                             const std::string& span_trace)>& on_result = {});
 
 struct RegressionThresholds {
   // Throughput may drop at most this much before the gate trips.

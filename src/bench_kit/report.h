@@ -87,9 +87,6 @@ struct BenchResult {
   uint64_t scaled_block_cache_size = 0;
   std::optional<SpanAttribution> span_attribution;
   std::optional<monitor::HealthReport> health;
-  // Raw ELMOSPN1 span-trace bytes: the run's SimEnv dies with the run,
-  // so callers that persist the trace read it here.
-  std::string span_trace;
 
   // Convenience accessors used by tables/figures.
   double p99_write_us() const {

@@ -304,7 +304,8 @@ int main(int argc, char** argv) {
                   it == m.end() ? 0.0 : it->second);
         },
         [&span_dir](const elmo::bench::MatrixCell& cell,
-                    const elmo::bench::BenchResult& result) {
+                    const elmo::bench::BenchResult& result,
+                    const std::string& span_trace) {
           if (span_dir.empty()) return;
           // Cell names contain '/' ("nvme_4c4g/fillrandom"); flatten so
           // each artifact is one file in span_dir.
@@ -313,8 +314,8 @@ int main(int argc, char** argv) {
             if (c == '/') c = '_';
           }
           stem = span_dir + "/" + stem;
-          if (!result.span_trace.empty() &&
-              WriteFileBinary(stem + ".span.trace", result.span_trace)) {
+          if (!span_trace.empty() &&
+              WriteFileBinary(stem + ".span.trace", span_trace)) {
             std::string perfetto;
             if (elmo::bench::ExportChromeTrace(elmo::Env::Posix(),
                                                stem + ".span.trace",
