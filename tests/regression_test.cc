@@ -247,8 +247,9 @@ TEST(MetricsFromResult, TailSharesFromSpanAttribution) {
   EXPECT_EQ(m.at("attr_p99_write_wal_append"), 0.03);
   EXPECT_EQ(m.at("attr_p99_write_memtable"), 0.05);
   EXPECT_EQ(m.at("attr_p99_write_stall"), 0.2);
-  // Read at the attribution document's 4 decimals (0.6675), then at 3.
-  EXPECT_EQ(m.at("attr_p99_write_self"), 0.668);
+  // Rounded once, to 3 decimals: not through 4 decimals first (0.6675),
+  // which would round it up to 0.668.
+  EXPECT_EQ(m.at("attr_p99_write_self"), 0.667);
   EXPECT_EQ(m.at("attr_p99_get_memtable"), 0.0);  // not in the tail
   EXPECT_EQ(m.at("attr_p99_get_sst"), 0.4);
   EXPECT_EQ(m.at("attr_p99_get_self"), 0.6);
