@@ -30,12 +30,15 @@ struct KindAccum {
   std::vector<const SpanTree*> trees;
 };
 
-}  // namespace
-
+// Round a share or mean to 4 decimals, as SpanAttribution::ToJson
+// publishes it, so JSON output is deterministic across libm
+// implementations.
 double Round4(double v) {
   return static_cast<double>(static_cast<int64_t>(v * 10000.0 + 0.5)) /
          10000.0;
 }
+
+}  // namespace
 
 json::Object SpanAttribution::ToJson() const {
   json::Object doc;

@@ -62,11 +62,6 @@ struct SpanAttribution {
   std::string ToText() const;
 };
 
-// Round a share or mean to 4 decimals, as SpanAttribution::ToJson
-// publishes it, so JSON output is deterministic across libm
-// implementations.
-double Round4(double v);
-
 // Read the span trace at `path` through `env` and attribute. Fails with
 // Corruption on a damaged trace; an empty trace yields empty `ops`.
 Status AnalyzeSpanTrace(Env* env, const std::string& path,
