@@ -425,7 +425,7 @@ static int RunOnlineTuningSmoke(const std::string& path) {
     fprintf(stderr, "micro_engine: cannot write %s\n", path.c_str());
     return 1;
   }
-  const std::string json = tuner->TimelineJson();
+  const std::string json = elmo::json::Value(tuner->TimelineJson()).Dump(2);
   fwrite(json.data(), 1, json.size(), f);
   fputc('\n', f);
   fclose(f);

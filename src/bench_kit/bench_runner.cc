@@ -239,25 +239,24 @@ BenchResult BenchRunner::RunInternal(const WorkloadSpec& spec,
   result.compactions = st.Get(Ticker::kCompactionCount);
   result.writeback_stalls = env->io_stats().writeback_stalls;
   std::string prop;
-  if (db->GetProperty("elmo.block-cache-hit-rate", &prop)) {
-    result.block_cache_hit_rate = atof(prop.c_str());
-  }
   if (db->GetProperty("elmo.levelsummary", &prop)) {
     result.level_summary = prop;
   }
   if (db->GetProperty("elmo.stats", &prop)) {
     result.engine_stats = prop;
   }
-  if (db->GetProperty("elmo.timeseries", &prop)) {
-    lsm::TimeSeriesFromJson(prop, &result.timeseries,
-                            &result.sample_interval_us);
+  // "elmo.stats" just folded the block cache's counters into the
+  // tickers, so they are current here.
+  const uint64_t cache_lookups =
+      st.Get(Ticker::kBlockCacheHit) + st.Get(Ticker::kBlockCacheMiss);
+  if (cache_lookups > 0) {
+    result.block_cache_hit_rate =
+        static_cast<double>(st.Get(Ticker::kBlockCacheHit)) / cache_lookups;
   }
-  if (db->GetProperty("elmo.health", &prop) && !prop.empty()) {
-    monitor::HealthReport health;
-    if (monitor::HealthReport::FromJson(prop, &health).ok()) {
-      result.health = std::move(health);
-    }
-  }
+  lsm::TimeSeries series = db->GetTimeSeries();
+  result.timeseries = std::move(series.samples);
+  result.sample_interval_us = series.interval_us;
+  result.health = db->GetHealth();
 
   // Close out the traces and distill them offline: per-kind/context IO
   // breakdown plus the miss-ratio-vs-capacity curve simulated around the

@@ -62,19 +62,11 @@ void OnlineTuner::AddStep(uint64_t ts_us, const std::string& kind,
   timeline_.push_back(std::move(step));
 }
 
-bool OnlineTuner::ReadHealth(monitor::HealthReport* report) const {
-  std::string prop;
-  if (!db_->GetProperty("elmo.health", &prop) || prop.empty()) {
-    return false;
-  }
-  return monitor::HealthReport::FromJson(prop, report).ok();
-}
-
 bool OnlineTuner::PhaseShiftNear(uint64_t ts_us) const {
-  monitor::HealthReport report;
-  if (!ReadHealth(&report)) return false;
+  const std::optional<monitor::HealthReport> report = db_->GetHealth();
+  if (!report) return false;
   const uint64_t slack = 2 * std::max<uint64_t>(sample_interval_us_, 1);
-  for (const auto& e : report.anomalies) {
+  for (const auto& e : report->anomalies) {
     if (!e.phase_shift) continue;
     const uint64_t d = e.ts_us > ts_us ? e.ts_us - ts_us : ts_us - e.ts_us;
     if (d <= slack) return true;
@@ -83,12 +75,9 @@ bool OnlineTuner::PhaseShiftNear(uint64_t ts_us) const {
 }
 
 void OnlineTuner::Poll() {
-  std::string prop;
-  if (!db_->GetProperty("elmo.timeseries", &prop)) return;
-  std::vector<lsm::IntervalSample> samples;
-  uint64_t interval_us = 0;
-  if (!lsm::TimeSeriesFromJson(prop, &samples, &interval_us).ok()) return;
-  if (interval_us > 0) sample_interval_us_ = interval_us;
+  const lsm::TimeSeries series = db_->GetTimeSeries();
+  if (series.interval_us > 0) sample_interval_us_ = series.interval_us;
+  const std::vector<lsm::IntervalSample>& samples = series.samples;
 
   // The ring is bounded drop-oldest; everything past the last consumed
   // timestamp is new.
@@ -152,8 +141,10 @@ void OnlineTuner::StepOnSample(const lsm::IntervalSample& s) {
 }
 
 void OnlineTuner::CheckTrigger(const lsm::IntervalSample& s) {
-  monitor::HealthReport report;
-  if (!ReadHealth(&report)) return;
+  // Without a health monitor there are no anomalies or diagnoses: only
+  // the cold-start trigger can fire.
+  const monitor::HealthReport report =
+      db_->GetHealth().value_or(monitor::HealthReport{});
 
   // Primary trigger: a workload phase shift the detector confirmed
   // since the last handled trigger.
@@ -250,8 +241,9 @@ std::map<std::string, std::string> OnlineTuner::LlmDelta(
   in.memory_budget_bytes = cfg_.memory_budget_bytes;
   in.mutable_options = schema.DescribeMutable(cur);
   in.recent_samples.assign(recent_.begin(), recent_.end());
-  monitor::HealthReport report;
-  if (ReadHealth(&report)) in.health_evidence = report.ToText();
+  if (const auto report = db_->GetHealth()) {
+    in.health_evidence = report->ToText();
+  }
   in.delta_history = delta_history_;
 
   // Same vetting pipeline as the offline loop, then restricted to the
@@ -474,19 +466,16 @@ void OnlineTuner::VerifySample(const lsm::IntervalSample& s) {
   // A confirmed phase shift mid-verification supersedes the verdict:
   // the baseline belongs to the old phase, so neither "kept" nor
   // "rolled back" would mean anything — re-trigger on the new phase.
-  {
-    monitor::HealthReport report;
-    if (ReadHealth(&report)) {
-      for (const auto& e : report.anomalies) {
-        if (e.phase_shift && e.ts_us > last_trigger_ts_) {
-          json::Object verdict;
-          verdict["origin"] = active_origin_;
-          verdict["result"] = "superseded_by_phase_shift";
-          AddStep(s.ts_us, "verdict", std::move(verdict));
-          verifying_ = false;
-          CheckTrigger(s);
-          return;
-        }
+  if (const auto report = db_->GetHealth()) {
+    for (const auto& e : report->anomalies) {
+      if (e.phase_shift && e.ts_us > last_trigger_ts_) {
+        json::Object verdict;
+        verdict["origin"] = active_origin_;
+        verdict["result"] = "superseded_by_phase_shift";
+        AddStep(s.ts_us, "verdict", std::move(verdict));
+        verifying_ = false;
+        CheckTrigger(s);
+        return;
       }
     }
   }
@@ -552,7 +541,7 @@ Status OnlineTuner::InjectDelta(
   return ApplyDelta(delta, origin, last_sample_ts_, baseline);
 }
 
-std::string OnlineTuner::TimelineJson() const {
+json::Object OnlineTuner::TimelineJson() const {
   json::Object doc;
   doc["applied"] = static_cast<int64_t>(applied_deltas_);
   doc["rollbacks"] = static_cast<int64_t>(rollbacks_);
@@ -566,7 +555,7 @@ std::string OnlineTuner::TimelineJson() const {
     steps.push_back(std::move(o));
   }
   doc["steps"] = std::move(steps);
-  return json::Value(std::move(doc)).Dump(2);
+  return doc;
 }
 
 }  // namespace elmo::tune

@@ -79,7 +79,7 @@ class OnlineTuner {
   const std::vector<TimelineStep>& timeline() const { return timeline_; }
 
   // {"applied":N,"rollbacks":N,"oscillations":N,"steps":[...]}
-  std::string TimelineJson() const;
+  json::Object TimelineJson() const;
 
  private:
   // (ops + seeks) / interval — phase-robust rate, matching the
@@ -117,7 +117,6 @@ class OnlineTuner {
                     double baseline);
   void Rollback(const lsm::IntervalSample& s);
 
-  bool ReadHealth(monitor::HealthReport* report) const;
   bool PhaseShiftNear(uint64_t ts_us) const;
   void AddStep(uint64_t ts_us, const std::string& kind,
                json::Object detail);

@@ -690,7 +690,7 @@ OnlineVsOfflineReport RunOnlineVsOffline(const OnlineVsOfflineConfig& config) {
     report.applied_deltas = tuner->applied_deltas();
     report.rollbacks = tuner->rollbacks();
     report.oscillations = tuner->oscillations();
-    report.timeline_json = tuner->TimelineJson();
+    report.timeline = tuner->TimelineJson();
   }
   return report;
 }
@@ -720,10 +720,7 @@ std::string OnlineVsOfflineReport::ToJson() const {
   doc["rollbacks"] = rollbacks;
   doc["oscillations"] = oscillations;
   doc["errors"] = errors;
-  json::Value timeline;
-  if (json::Parse(timeline_json, &timeline).ok()) {
-    doc["timeline"] = std::move(timeline);
-  }
+  if (!timeline.empty()) doc["timeline"] = timeline;
   return json::Value(std::move(doc)).Dump(2);
 }
 

@@ -16,6 +16,7 @@
 #include "bench_kit/workload.h"
 #include "env/hardware_profile.h"
 #include "lsm/options.h"
+#include "util/json.h"
 
 namespace elmo::tune {
 
@@ -146,8 +147,8 @@ struct OnlineVsOfflineReport {
   int rollbacks = 0;
   int oscillations = 0;
   // Full observe -> propose -> apply -> verdict timeline of the online
-  // run (OnlineTuner::TimelineJson()).
-  std::string timeline_json;
+  // run (OnlineTuner::TimelineJson()); empty when no tuner ran.
+  json::Object timeline;
 
   std::string ToJson() const;
   // Markdown table for EXPERIMENTS.md.

@@ -14,15 +14,21 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "lsm/options.h"
 #include "lsm/span.h"
 #include "lsm/stats.h"
+#include "lsm/stats_sampler.h"
 #include "lsm/write_batch.h"
 #include "table/iterator.h"
 #include "util/slice.h"
 #include "util/status.h"
+
+namespace elmo::monitor {
+struct HealthReport;
+}  // namespace elmo::monitor
 
 namespace elmo::lsm {
 
@@ -94,16 +100,13 @@ class DB {
   //                                      breakdown: per-op and per-phase
   //                                      count/total/avg/max micros (see
   //                                      lsm/span.h SpanAggregate)
-  //   "elmo.timeseries"                  JSON time series recorded by the
-  //                                      StatsSampler (enabled via
-  //                                      options.stats_sample_interval_ms):
+  //   "elmo.timeseries"                  GetTimeSeries() as JSON:
   //                                      {"interval_us":N,"dropped":N,
   //                                       "samples":[{...}, ...]}
-  //   "elmo.health"                      JSON health verdict from the
-  //                                      live monitor (status, anomalies,
-  //                                      ranked diagnoses); {"status":
-  //                                      "disabled"} when the sampler or
-  //                                      monitor is off
+  //   "elmo.health"                      GetHealth() as JSON (status,
+  //                                      anomalies, ranked diagnoses);
+  //                                      {"status": "disabled"} when the
+  //                                      sampler or monitor is off
   //   "elmo.prometheus"                  Prometheus text exposition of
   //                                      tickers/gauges/quantiles (same
   //                                      content as metrics_export_path)
@@ -120,6 +123,19 @@ class DB {
   //                                      "next_retry_at_us"} plus lifetime
   //                                      resume success/failure counts
   virtual bool GetProperty(const Slice& property, std::string* value) = 0;
+
+  // Typed telemetry reads for in-process consumers (bench harness,
+  // online tuner); the two JSON properties above render from them.
+  // Each read is a sampler tick opportunity, so a SimEnv run that just
+  // advanced virtual time gets an up-to-date final sample.
+  //
+  // The StatsSampler's ring (enabled via
+  // options.stats_sample_interval_ms); empty when the sampler is off.
+  virtual TimeSeries GetTimeSeries() = 0;
+  // The live monitor's verdict as of this read; nullopt when the
+  // sampler or the monitor (options.enable_health_monitor) is off.
+  // Callers include monitor/health_monitor.h.
+  virtual std::optional<monitor::HealthReport> GetHealth() = 0;
 
   // Compact the key range [*begin, *end]; null means open-ended.
   virtual Status CompactRange(const Slice* begin, const Slice* end) = 0;

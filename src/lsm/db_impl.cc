@@ -202,7 +202,7 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
         static_cast<size_t>(options_.stats_history_size), env_->NowMicros());
     if (options_.enable_health_monitor) {
       monitor::MonitorConfig mc;
-      mc.engine = monitor::EngineInfo::FromOptions(options_);
+      mc.engine = options_;
       health_ = std::make_unique<monitor::HealthMonitor>(mc);
     }
   }
@@ -2193,9 +2193,34 @@ Status DBImpl::LogTraceEvent(const Status& s, const char* event,
 // ---------------------------------------------------------------------
 // Admin
 
+TimeSeries DBImpl::GetTimeSeries() {
+  std::lock_guard<std::mutex> l(mu_);
+  MaybeSampleLocked();
+  return sampler_ != nullptr ? sampler_->Series() : TimeSeries{};
+}
+
+std::optional<monitor::HealthReport> DBImpl::GetHealth() {
+  std::lock_guard<std::mutex> l(mu_);
+  MaybeSampleLocked();
+  if (health_ == nullptr) return std::nullopt;
+  return health_->Report();
+}
+
 bool DBImpl::GetProperty(const Slice& property, std::string* value) {
   value->clear();
   std::string prop = property.ToString();
+  // The telemetry properties render the typed reads, which take mu_
+  // themselves.
+  if (prop == "elmo.timeseries") {
+    *value = TimeSeriesToJson(GetTimeSeries());
+    return true;
+  }
+  if (prop == "elmo.health") {
+    const std::optional<monitor::HealthReport> health = GetHealth();
+    *value = health ? json::Value(health->ToJson()).Dump()
+                    : "{\"status\": \"disabled\"}";
+    return true;
+  }
   std::lock_guard<std::mutex> l(mu_);
 
   if (prop == "elmo.stats") {
@@ -2279,26 +2304,6 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
   }
   if (prop == "elmo.perf") {
     *value = GlobalSpanAggregate()->ToString();
-    return true;
-  }
-  if (prop == "elmo.timeseries") {
-    // Reading the property is itself a tick opportunity, so a SimEnv
-    // run that just advanced virtual time gets an up-to-date final
-    // sample without any extra call.
-    MaybeSampleLocked();
-    *value = sampler_ != nullptr ? sampler_->ToJson()
-                                 : TimeSeriesToJson(0, 0, {});
-    return true;
-  }
-  if (prop == "elmo.health") {
-    // Same tick-opportunity logic as elmo.timeseries: the verdict
-    // reflects the engine state up to this very read.
-    MaybeSampleLocked();
-    if (health_ == nullptr) {
-      *value = "{\"status\": \"disabled\"}";
-    } else {
-      *value = json::Value(health_->Report().ToJson()).Dump();
-    }
     return true;
   }
   if (prop == "elmo.prometheus") {
@@ -2395,17 +2400,10 @@ Status DBImpl::ApplyDynamicOptionsLocked(
         "cannot start or stop the sampler at runtime (0 <-> nonzero)");
   }
 
-  // Re-impose the open-time invariants (SanitizeOptions) relating
-  // mutable options to each other, so a partial update cannot wedge the
-  // stall state machine (e.g. stop trigger below slowdown trigger).
-  next.max_write_buffer_number = std::max(2, next.max_write_buffer_number);
-  next.level0_slowdown_writes_trigger =
-      std::max(next.level0_slowdown_writes_trigger,
-               next.level0_file_num_compaction_trigger);
-  next.level0_stop_writes_trigger = std::max(
-      next.level0_stop_writes_trigger, next.level0_slowdown_writes_trigger);
-  next.write_buffer_size =
-      std::max<uint64_t>(next.write_buffer_size, 1 << 16);
+  // Re-impose the open-time invariants relating options to each other,
+  // so a partial update cannot wedge the stall state machine (e.g. stop
+  // trigger below slowdown trigger) and lands where a reopen would.
+  next = SanitizeOptions(next);
 
   // Phase 2: diff the *effective* (post-clamp) values. Entries the
   // clamp reverted are dropped; an all-no-op call succeeds without
@@ -2463,7 +2461,7 @@ Status DBImpl::ApplyDynamicOptionsLocked(
   }
   if (health_ != nullptr) {
     // Diagnosis thresholds (triggers, capacities) track the live config.
-    health_->SetEngineInfo(monitor::EngineInfo::FromOptions(options_));
+    health_->SetEngineOptions(options_);
   }
 
   // Phase 4: record — LOG event, ticker, bounded ledger.

@@ -59,6 +59,8 @@ class DBImpl : public DB {
   const Snapshot* GetSnapshot() override;
   void ReleaseSnapshot(const Snapshot* snapshot) override;
   bool GetProperty(const Slice& property, std::string* value) override;
+  TimeSeries GetTimeSeries() override;
+  std::optional<monitor::HealthReport> GetHealth() override;
   Status CompactRange(const Slice* begin, const Slice* end) override;
   void GetApproximateSizes(const Range* ranges, int n,
                            uint64_t* sizes) override;
@@ -309,7 +311,7 @@ class DBImpl : public DB {
   std::shared_ptr<DbInfoLogger> info_event_log_;
   // Live health pipeline (null unless the sampler is on and
   // enable_health_monitor is set); fed from MaybeSampleLocked, read by
-  // GetProperty("elmo.health"). Guarded by mu_.
+  // GetHealth(). Guarded by mu_.
   std::unique_ptr<monitor::HealthMonitor> health_;
   monitor::HealthStatus last_health_status_ = monitor::HealthStatus::kOk;
 

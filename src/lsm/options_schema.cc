@@ -63,12 +63,11 @@ std::string DoubleToString(double v) {
 namespace {
 
 OptionInfo BoolOpt(const char* name, const char* section, bool Options::*field,
-                   bool dflt, const char* desc, bool blacklisted = false) {
+                   const char* desc, bool blacklisted = false) {
   OptionInfo o;
   o.name = name;
   o.section = section;
   o.type = OptionType::kBool;
-  o.default_value = BoolToString(dflt);
   o.blacklisted = blacklisted;
   o.description = desc;
   o.set = [field, name = o.name](Options* opts, const std::string& v) {
@@ -84,12 +83,11 @@ OptionInfo BoolOpt(const char* name, const char* section, bool Options::*field,
 }
 
 OptionInfo IntOpt(const char* name, const char* section, int Options::*field,
-                  int dflt, int64_t min_v, int64_t max_v, const char* desc) {
+                  int64_t min_v, int64_t max_v, const char* desc) {
   OptionInfo o;
   o.name = name;
   o.section = section;
   o.type = OptionType::kInt;
-  o.default_value = I64ToString(dflt);
   o.min_value = min_v;
   o.max_value = max_v;
   o.description = desc;
@@ -112,13 +110,12 @@ OptionInfo IntOpt(const char* name, const char* section, int Options::*field,
 }
 
 OptionInfo UintOpt(const char* name, const char* section,
-                   uint64_t Options::*field, uint64_t dflt, int64_t min_v,
-                   int64_t max_v, const char* desc) {
+                   uint64_t Options::*field, int64_t min_v, int64_t max_v,
+                   const char* desc) {
   OptionInfo o;
   o.name = name;
   o.section = section;
   o.type = OptionType::kUint;
-  o.default_value = U64ToString(dflt);
   o.min_value = min_v;
   o.max_value = max_v;
   o.description = desc;
@@ -141,13 +138,12 @@ OptionInfo UintOpt(const char* name, const char* section,
 }
 
 OptionInfo DoubleOpt(const char* name, const char* section,
-                     double Options::*field, double dflt, int64_t min_v,
-                     int64_t max_v, const char* desc) {
+                     double Options::*field, int64_t min_v, int64_t max_v,
+                     const char* desc) {
   OptionInfo o;
   o.name = name;
   o.section = section;
   o.type = OptionType::kDouble;
-  o.default_value = DoubleToString(dflt);
   o.min_value = min_v;
   o.max_value = max_v;
   o.description = desc;
@@ -179,98 +175,97 @@ OptionsSchema::OptionsSchema() {
 
   // ----- DBOptions -----
   options_.push_back(IntOpt(
-      "max_background_jobs", "DBOptions", &Options::max_background_jobs, 2, 1,
+      "max_background_jobs", "DBOptions", &Options::max_background_jobs, 1,
       512, "Total background flush+compaction parallelism budget."));
   options_.push_back(IntOpt(
       "max_background_flushes", "DBOptions", &Options::max_background_flushes,
-      -1, -1, 64,
+      -1, 64,
       "Concurrent flush jobs; -1 derives roughly jobs/4 (min 1)."));
   options_.push_back(IntOpt(
       "max_background_compactions", "DBOptions",
-      &Options::max_background_compactions, -1, -1, 64,
+      &Options::max_background_compactions, -1, 64,
       "Concurrent compaction jobs; -1 derives from max_background_jobs."));
   options_.push_back(IntOpt(
-      "max_subcompactions", "DBOptions", &Options::max_subcompactions, 1, 1,
+      "max_subcompactions", "DBOptions", &Options::max_subcompactions, 1,
       64, "Split one large compaction across this many workers."));
   options_.push_back(UintOpt(
-      "bytes_per_sync", "DBOptions", &Options::bytes_per_sync, 0, 0, kMaxBytes,
+      "bytes_per_sync", "DBOptions", &Options::bytes_per_sync, 0, kMaxBytes,
       "Incrementally sync SST writes every N bytes; 0 lets dirty pages "
       "accumulate until the OS forces a bursty writeback."));
   options_.push_back(UintOpt(
-      "wal_bytes_per_sync", "DBOptions", &Options::wal_bytes_per_sync, 0, 0,
+      "wal_bytes_per_sync", "DBOptions", &Options::wal_bytes_per_sync, 0,
       kMaxBytes, "Like bytes_per_sync but for the write-ahead log."));
   options_.push_back(BoolOpt(
       "strict_bytes_per_sync", "DBOptions", &Options::strict_bytes_per_sync,
-      false,
       "Enforce the sync cadence exactly (sync boundary even mid-burst)."));
   options_.push_back(UintOpt(
       "delayed_write_rate", "DBOptions", &Options::delayed_write_rate,
-      16ull << 20, 1 << 10, kMaxBytes,
+      1 << 10, kMaxBytes,
       "Write throughput ceiling applied during the slowdown regime."));
   options_.push_back(UintOpt(
       "compaction_readahead_size", "DBOptions",
-      &Options::compaction_readahead_size, 2ull << 20, 0, 1ull << 30,
+      &Options::compaction_readahead_size, 0, 1ull << 30,
       "Sequential readahead window for compaction inputs; large values "
       "hide seek latency on spinning disks."));
   options_.push_back(IntOpt(
-      "max_open_files", "DBOptions", &Options::max_open_files, -1, -1,
+      "max_open_files", "DBOptions", &Options::max_open_files, -1,
       kMaxI, "Table-reader handles kept open; -1 = unlimited."));
   options_.push_back(UintOpt(
-      "max_total_wal_size", "DBOptions", &Options::max_total_wal_size, 0, 0,
+      "max_total_wal_size", "DBOptions", &Options::max_total_wal_size, 0,
       kMaxBytes, "Force a memtable flush once live WAL data exceeds this."));
   options_.push_back(BoolOpt(
       "enable_pipelined_write", "DBOptions", &Options::enable_pipelined_write,
-      true, "Overlap WAL append and memtable insert stages."));
+      "Overlap WAL append and memtable insert stages."));
   options_.push_back(BoolOpt(
-      "dump_malloc_stats", "DBOptions", &Options::dump_malloc_stats, true,
+      "dump_malloc_stats", "DBOptions", &Options::dump_malloc_stats,
       "Include allocator statistics in stat dumps (small CPU cost)."));
   options_.push_back(BoolOpt(
-      "paranoid_checks", "DBOptions", &Options::paranoid_checks, false,
+      "paranoid_checks", "DBOptions", &Options::paranoid_checks,
       "Aggressive corruption checking on every read."));
   options_.push_back(UintOpt(
       "stats_dump_period_sec", "DBOptions", &Options::stats_dump_period_sec,
-      600, 0, 86400, "Dump engine stats to the info log every N seconds."));
+      0, 86400, "Dump engine stats to the info log every N seconds."));
   options_.push_back(UintOpt(
       "stats_sample_interval_ms", "DBOptions",
-      &Options::stats_sample_interval_ms, 0, 0, 3600000,
+      &Options::stats_sample_interval_ms, 0, 3600000,
       "Record a telemetry time-series sample every N ms (0 = off); "
       "read back via GetProperty(\"elmo.timeseries\")."));
   options_.push_back(UintOpt(
-      "stats_history_size", "DBOptions", &Options::stats_history_size, 512,
+      "stats_history_size", "DBOptions", &Options::stats_history_size,
       16, 1 << 20, "Max time-series samples retained (drop-oldest ring)."));
   options_.push_back(IntOpt(
       "max_bgerror_resume_count", "DBOptions",
-      &Options::max_bgerror_resume_count, 8, 0, 1024,
+      &Options::max_bgerror_resume_count, 0, 1024,
       "Auto-resume attempts per background-error episode before the DB "
       "degrades to read-only and waits for a manual Resume() (0 = "
       "auto-resume off)."));
   options_.push_back(UintOpt(
       "bgerror_resume_retry_interval_ms", "DBOptions",
-      &Options::bgerror_resume_retry_interval_ms, 20, 1, 3600000,
+      &Options::bgerror_resume_retry_interval_ms, 1, 3600000,
       "Backoff before the first auto-resume attempt; doubles per failed "
       "attempt up to bgerror_resume_max_backoff_ms."));
   options_.push_back(UintOpt(
       "bgerror_resume_max_backoff_ms", "DBOptions",
-      &Options::bgerror_resume_max_backoff_ms, 5000, 1, 3600000,
+      &Options::bgerror_resume_max_backoff_ms, 1, 3600000,
       "Cap on the exponential auto-resume backoff."));
   options_.push_back(UintOpt(
       "free_space_reserved_bytes", "DBOptions",
-      &Options::free_space_reserved_bytes, 0, 0, kMaxBytes,
+      &Options::free_space_reserved_bytes, 0, kMaxBytes,
       "Free-space headroom: pause flushes/compactions while device free "
       "space is at or below this, resume when space frees (0 = off)."));
   options_.push_back(UintOpt(
       "free_space_poll_interval_ms", "DBOptions",
-      &Options::free_space_poll_interval_ms, 100, 1, 3600000,
+      &Options::free_space_poll_interval_ms, 1, 3600000,
       "Re-poll cadence of the free-space monitor."));
   options_.push_back(BoolOpt(
-      "use_direct_reads", "DBOptions", &Options::use_direct_reads, false,
+      "use_direct_reads", "DBOptions", &Options::use_direct_reads,
       "Bypass the OS page cache for user reads."));
   options_.push_back(BoolOpt(
       "use_direct_io_for_flush_and_compaction", "DBOptions",
-      &Options::use_direct_io_for_flush_and_compaction, false,
+      &Options::use_direct_io_for_flush_and_compaction,
       "Bypass the OS page cache for background writes."));
   options_.push_back(BoolOpt(
-      "disable_wal", "DBOptions", &Options::disable_wal, false,
+      "disable_wal", "DBOptions", &Options::disable_wal,
       "Disable the write-ahead log entirely. Blacklisted: trades "
       "durability for benchmark speed.",
       /*blacklisted=*/true));
@@ -278,62 +273,62 @@ OptionsSchema::OptionsSchema() {
   // ----- CFOptions -----
   options_.push_back(UintOpt(
       "write_buffer_size", "CFOptions", &Options::write_buffer_size,
-      64ull << 20, 1 << 16, kMaxBytes,
+      1 << 16, kMaxBytes,
       "Memtable size before it becomes immutable and is queued to flush."));
   options_.push_back(IntOpt(
       "max_write_buffer_number", "CFOptions",
-      &Options::max_write_buffer_number, 2, 2, 64,
+      &Options::max_write_buffer_number, 2, 64,
       "Total memtables (active+immutable) before writes stop."));
   options_.push_back(IntOpt(
       "min_write_buffer_number_to_merge", "CFOptions",
-      &Options::min_write_buffer_number_to_merge, 1, 1, 16,
+      &Options::min_write_buffer_number_to_merge, 1, 16,
       "Immutable memtables merged together by one flush."));
   options_.push_back(IntOpt(
-      "num_levels", "CFOptions", &Options::num_levels, 7, 2, 12,
+      "num_levels", "CFOptions", &Options::num_levels, 2, 12,
       "Depth of the LSM tree."));
   options_.push_back(IntOpt(
       "level0_file_num_compaction_trigger", "CFOptions",
-      &Options::level0_file_num_compaction_trigger, 4, 1, 256,
+      &Options::level0_file_num_compaction_trigger, 1, 256,
       "L0 file count that triggers an L0->L1 compaction."));
   options_.push_back(IntOpt(
       "level0_slowdown_writes_trigger", "CFOptions",
-      &Options::level0_slowdown_writes_trigger, 20, 1, 1024,
+      &Options::level0_slowdown_writes_trigger, 1, 1024,
       "L0 file count at which writes are rate-limited."));
   options_.push_back(IntOpt(
       "level0_stop_writes_trigger", "CFOptions",
-      &Options::level0_stop_writes_trigger, 36, 1, 4096,
+      &Options::level0_stop_writes_trigger, 1, 4096,
       "L0 file count at which writes stop entirely."));
   options_.push_back(UintOpt(
       "max_bytes_for_level_base", "CFOptions",
-      &Options::max_bytes_for_level_base, 256ull << 20, 1 << 20, kMaxBytes,
+      &Options::max_bytes_for_level_base, 1 << 20, kMaxBytes,
       "Target size of L1."));
   options_.push_back(DoubleOpt(
       "max_bytes_for_level_multiplier", "CFOptions",
-      &Options::max_bytes_for_level_multiplier, 10.0, 2, 100,
+      &Options::max_bytes_for_level_multiplier, 2, 100,
       "Growth factor between adjacent levels."));
   options_.push_back(UintOpt(
       "target_file_size_base", "CFOptions", &Options::target_file_size_base,
-      64ull << 20, 1 << 16, kMaxBytes, "SST file size target at L1."));
+      1 << 16, kMaxBytes, "SST file size target at L1."));
   options_.push_back(IntOpt(
       "target_file_size_multiplier", "CFOptions",
-      &Options::target_file_size_multiplier, 1, 1, 100,
+      &Options::target_file_size_multiplier, 1, 100,
       "File size growth factor per level."));
   options_.push_back(BoolOpt(
       "level_compaction_dynamic_level_bytes", "CFOptions",
-      &Options::level_compaction_dynamic_level_bytes, false,
+      &Options::level_compaction_dynamic_level_bytes,
       "Size levels downward from the last level instead of up from L1 "
       "(modern RocksDB recommendation)."));
   options_.push_back(BoolOpt(
       "disable_auto_compactions", "CFOptions",
-      &Options::disable_auto_compactions, false,
+      &Options::disable_auto_compactions,
       "Stop all automatic compaction (reads degrade as L0 grows)."));
   options_.push_back(UintOpt(
       "soft_pending_compaction_bytes_limit", "CFOptions",
-      &Options::soft_pending_compaction_bytes_limit, 64ull << 30, 0,
+      &Options::soft_pending_compaction_bytes_limit, 0,
       1ll << 50, "Compaction debt that triggers the write slowdown."));
   options_.push_back(UintOpt(
       "hard_pending_compaction_bytes_limit", "CFOptions",
-      &Options::hard_pending_compaction_bytes_limit, 256ull << 30, 0,
+      &Options::hard_pending_compaction_bytes_limit, 0,
       1ll << 50, "Compaction debt that stops writes."));
 
   // compaction_style (enum)
@@ -342,7 +337,6 @@ OptionsSchema::OptionsSchema() {
     o.name = "compaction_style";
     o.section = "CFOptions";
     o.type = OptionType::kEnum;
-    o.default_value = "level";
     o.enum_values = {"level", "universal"};
     o.description =
         "Leveled compaction (read-optimized) or universal/size-tiered "
@@ -368,7 +362,6 @@ OptionsSchema::OptionsSchema() {
     o.name = "compression";
     o.section = "CFOptions";
     o.type = OptionType::kEnum;
-    o.default_value = "none";
     o.enum_values = {"none", "rle"};
     o.description = "Block compression codec.";
     o.set = [](Options* opts, const std::string& v) {
@@ -389,23 +382,23 @@ OptionsSchema::OptionsSchema() {
   // ----- TableOptions -----
   options_.push_back(UintOpt(
       "block_cache_size", "TableOptions", &Options::block_cache_size,
-      8ull << 20, 0, kMaxBytes,
+      0, kMaxBytes,
       "Shared uncompressed block cache capacity."));
   options_.push_back(UintOpt(
-      "block_size", "TableOptions", &Options::block_size, 4096, 256,
+      "block_size", "TableOptions", &Options::block_size, 256,
       16ull << 20, "Uncompressed data block target size."));
   options_.push_back(IntOpt(
       "block_restart_interval", "TableOptions",
-      &Options::block_restart_interval, 16, 1, 256,
+      &Options::block_restart_interval, 1, 256,
       "Keys between prefix-compression restart points."));
   options_.push_back(IntOpt(
       "bloom_filter_bits_per_key", "TableOptions",
-      &Options::bloom_filter_bits_per_key, 0, 0, 64,
+      &Options::bloom_filter_bits_per_key, 0, 64,
       "Bloom filter density; 0 disables filters (default here, as in "
       "db_bench), ~10 gives a <1% false-positive rate."));
   options_.push_back(BoolOpt(
       "cache_index_and_filter_blocks", "TableOptions",
-      &Options::cache_index_and_filter_blocks, false,
+      &Options::cache_index_and_filter_blocks,
       "Charge index/filter blocks to the block cache instead of pinning "
       "them outside it."));
 

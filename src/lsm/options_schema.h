@@ -1,5 +1,5 @@
 // OptionsSchema: the machine-readable registry of every tunable option.
-// One definition per option — name, section, type, default, legal range,
+// One definition per option — name, section, type, legal range,
 // deprecation and blacklist flags, a prose description (fed to the LLM
 // prompt), and the binding into the Options struct.
 //
@@ -25,7 +25,6 @@ struct OptionInfo {
   std::string name;
   std::string section;  // "DBOptions" | "CFOptions" | "TableOptions"
   OptionType type = OptionType::kInt;
-  std::string default_value;
   // Range for numeric types (inclusive). Ignored for bool/enum.
   int64_t min_value = 0;
   int64_t max_value = 0;

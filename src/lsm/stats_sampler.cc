@@ -119,14 +119,13 @@ IntervalSample SampleFromJsonValue(const json::Value& obj) {
   return s;
 }
 
-std::string TimeSeriesToJson(uint64_t interval_us, uint64_t dropped,
-                             const std::vector<IntervalSample>& samples) {
+std::string TimeSeriesToJson(const TimeSeries& series) {
   json::Object doc;
-  doc["interval_us"] = static_cast<int64_t>(interval_us);
-  doc["dropped"] = static_cast<int64_t>(dropped);
+  doc["interval_us"] = static_cast<int64_t>(series.interval_us);
+  doc["dropped"] = static_cast<int64_t>(series.dropped);
   json::Array arr;
-  arr.reserve(samples.size());
-  for (const IntervalSample& s : samples) {
+  arr.reserve(series.samples.size());
+  for (const IntervalSample& s : series.samples) {
     arr.emplace_back(SampleToJsonObject(s));
   }
   doc["samples"] = std::move(arr);
@@ -260,11 +259,6 @@ bool StatsSampler::Tick(uint64_t now_us, const EngineGauges& gauges) {
   return true;
 }
 
-std::vector<IntervalSample> StatsSampler::Samples() const {
-  std::lock_guard<std::mutex> l(mu_);
-  return std::vector<IntervalSample>(ring_.begin(), ring_.end());
-}
-
 IntervalSample StatsSampler::Latest() const {
   std::lock_guard<std::mutex> l(mu_);
   return ring_.empty() ? IntervalSample() : ring_.back();
@@ -285,11 +279,10 @@ uint64_t StatsSampler::LateTicks() const {
   return late_ticks_;
 }
 
-std::string StatsSampler::ToJson() const {
+TimeSeries StatsSampler::Series() const {
   std::lock_guard<std::mutex> l(mu_);
-  return TimeSeriesToJson(
-      interval_us_.load(std::memory_order_relaxed), dropped_,
-      std::vector<IntervalSample>(ring_.begin(), ring_.end()));
+  return TimeSeries{interval_us_.load(std::memory_order_relaxed), dropped_,
+                    std::vector<IntervalSample>(ring_.begin(), ring_.end())};
 }
 
 }  // namespace elmo::lsm

@@ -8,9 +8,10 @@
 // Ticks run on the *engine* clock: virtual time under SimEnv (the DB
 // piggybacks ticks on its write/read/background paths, since no real
 // thread can observe virtual time), wall time under PosixEnv/MemEnv
-// (DBImpl runs a dedicated sampler thread). The ring is exposed as JSON
-// through GetProperty("elmo.timeseries") — the native source of the
-// paper's Fig. 3/4 throughput-over-time curves.
+// (DBImpl runs a dedicated sampler thread). The ring is read typed
+// through DB::GetTimeSeries() and as JSON through
+// GetProperty("elmo.timeseries") — the native source of the paper's
+// Fig. 3/4 throughput-over-time curves.
 #pragma once
 
 #include <atomic>
@@ -94,15 +95,22 @@ struct IntervalSample {
   uint64_t span_memtable_us = 0;
 };
 
+// The sampler's ring as one consistent read: cadence, samples evicted
+// so far, and the retained samples oldest first.
+struct TimeSeries {
+  uint64_t interval_us = 0;
+  uint64_t dropped = 0;
+  std::vector<IntervalSample> samples;
+};
+
 // Per-sample JSON codec, shared by TimeSeriesToJson, the full
 // `sampler_tick` LOG events and the monitor's offline replayers.
 json::Object SampleToJsonObject(const IntervalSample& s);
 IntervalSample SampleFromJsonValue(const json::Value& obj);
 
-// Render a sample list as the "elmo.timeseries" JSON document:
+// Render a series as the "elmo.timeseries" JSON document:
 //   {"interval_us": N, "dropped": N, "samples": [{...}, ...]}
-std::string TimeSeriesToJson(uint64_t interval_us, uint64_t dropped,
-                             const std::vector<IntervalSample>& samples);
+std::string TimeSeriesToJson(const TimeSeries& series);
 
 // Parse a document produced by TimeSeriesToJson. Unknown fields are
 // ignored; missing fields default to zero.
@@ -126,7 +134,6 @@ class StatsSampler {
   // true when a sample was recorded. Thread-safe.
   bool Tick(uint64_t now_us, const EngineGauges& gauges);
 
-  std::vector<IntervalSample> Samples() const;
   // Most recent sample; only meaningful when NumSamples() > 0.
   IntervalSample Latest() const;
   size_t NumSamples() const;
@@ -146,7 +153,8 @@ class StatsSampler {
   // immediately if that instant already passed). Thread-safe.
   void SetInterval(uint64_t interval_us, uint64_t now_us);
 
-  std::string ToJson() const;
+  // Interval, dropped count and samples, taken under one lock.
+  TimeSeries Series() const;
 
  private:
   const DbStats* const stats_;

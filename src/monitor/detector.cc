@@ -66,19 +66,6 @@ const char* MetricName(Metric m) {
   return "unknown";
 }
 
-namespace {
-
-Metric MetricFromName(const std::string& name) {
-  for (int i = 0; i < static_cast<int>(Metric::kMetricMax); i++) {
-    if (name == MetricName(static_cast<Metric>(i))) {
-      return static_cast<Metric>(i);
-    }
-  }
-  return Metric::kOpsPerSec;
-}
-
-}  // namespace
-
 std::string AnomalyEvent::ToString() const {
   char buf[256];
   snprintf(buf, sizeof(buf), "[%llu us] %s %s %s: %.3f -> %.3f (z=%.1f)%s",
@@ -100,37 +87,6 @@ json::Object AnomalyEvent::ToJson() const {
   o["after"] = Round3(after);
   o["zscore"] = Round3(zscore);
   return o;
-}
-
-AnomalyEvent AnomalyEventFromJson(const json::Value& obj) {
-  AnomalyEvent e;
-  const json::Value* v;
-  if ((v = obj.Find("ts_us")) != nullptr && v->is_number()) {
-    e.ts_us = static_cast<uint64_t>(v->as_int());
-  }
-  if ((v = obj.Find("metric")) != nullptr && v->is_string()) {
-    e.metric = MetricFromName(v->as_string());
-  }
-  if ((v = obj.Find("kind")) != nullptr && v->is_string()) {
-    e.kind = v->as_string() == "trend" ? AnomalyKind::kTrend
-                                       : AnomalyKind::kLevelShift;
-  }
-  if ((v = obj.Find("direction")) != nullptr && v->is_number()) {
-    e.direction = static_cast<int>(v->as_int());
-  }
-  if ((v = obj.Find("phase_shift")) != nullptr && v->is_bool()) {
-    e.phase_shift = v->as_bool();
-  }
-  if ((v = obj.Find("before")) != nullptr && v->is_number()) {
-    e.before = v->as_double();
-  }
-  if ((v = obj.Find("after")) != nullptr && v->is_number()) {
-    e.after = v->as_double();
-  }
-  if ((v = obj.Find("zscore")) != nullptr && v->is_number()) {
-    e.zscore = v->as_double();
-  }
-  return e;
 }
 
 ChangepointDetector::ChangepointDetector(const DetectorConfig& config)

@@ -56,8 +56,6 @@ struct AnomalyEvent {
   json::Object ToJson() const;
 };
 
-AnomalyEvent AnomalyEventFromJson(const json::Value& obj);
-
 struct DetectorConfig {
   // Reference-window length and the minimum history before any
   // detection is attempted.

@@ -58,22 +58,6 @@ double MeanShare(const std::vector<lsm::IntervalSample>& recent,
 
 }  // namespace
 
-EngineInfo EngineInfo::FromOptions(const lsm::Options& options) {
-  EngineInfo info;
-  info.level0_file_num_compaction_trigger =
-      options.level0_file_num_compaction_trigger;
-  info.level0_slowdown_writes_trigger = options.level0_slowdown_writes_trigger;
-  info.level0_stop_writes_trigger = options.level0_stop_writes_trigger;
-  info.max_write_buffer_number = options.max_write_buffer_number;
-  info.write_buffer_size = options.write_buffer_size;
-  info.max_background_jobs = options.max_background_jobs;
-  info.block_cache_size = options.block_cache_size;
-  info.bloom_filter_bits_per_key = options.bloom_filter_bits_per_key;
-  info.soft_pending_compaction_bytes_limit =
-      options.soft_pending_compaction_bytes_limit;
-  return info;
-}
-
 std::string Diagnosis::ToString() const {
   std::string out =
       Fmt("[%.2f] %s: %s — %s", severity, rule.c_str(), symptom.c_str(),
@@ -107,37 +91,9 @@ json::Object Diagnosis::ToJson() const {
   return o;
 }
 
-Diagnosis DiagnosisFromJson(const json::Value& obj) {
-  Diagnosis d;
-  const json::Value* v;
-  if ((v = obj.Find("rule")) != nullptr && v->is_string()) {
-    d.rule = v->as_string();
-  }
-  if ((v = obj.Find("severity")) != nullptr && v->is_number()) {
-    d.severity = v->as_double();
-  }
-  if ((v = obj.Find("symptom")) != nullptr && v->is_string()) {
-    d.symptom = v->as_string();
-  }
-  if ((v = obj.Find("cause")) != nullptr && v->is_string()) {
-    d.cause = v->as_string();
-  }
-  if ((v = obj.Find("evidence")) != nullptr && v->is_array()) {
-    for (const json::Value& e : v->as_array()) {
-      if (e.is_string()) d.evidence.push_back(e.as_string());
-    }
-  }
-  if ((v = obj.Find("suggested_options")) != nullptr && v->is_array()) {
-    for (const json::Value& s : v->as_array()) {
-      if (s.is_string()) d.suggested_options.push_back(s.as_string());
-    }
-  }
-  return d;
-}
-
 std::vector<Diagnosis> Diagnose(
     const std::vector<lsm::IntervalSample>& recent,
-    const std::vector<AnomalyEvent>& anomalies, const EngineInfo& info) {
+    const std::vector<AnomalyEvent>& anomalies, const lsm::Options& info) {
   std::vector<Diagnosis> out;
   if (recent.empty()) return out;
   const lsm::IntervalSample& s = recent.back();

@@ -17,23 +17,6 @@
 
 namespace elmo::monitor {
 
-// The static option values the rules compare dynamic state against.
-// Extracted from Options (live DB) or re-parsed from the "options" LOG
-// event (offline replay).
-struct EngineInfo {
-  int level0_file_num_compaction_trigger = 4;
-  int level0_slowdown_writes_trigger = 20;
-  int level0_stop_writes_trigger = 36;
-  int max_write_buffer_number = 2;
-  uint64_t write_buffer_size = 64ull << 20;
-  int max_background_jobs = 2;
-  uint64_t block_cache_size = 8ull << 20;
-  int bloom_filter_bits_per_key = 0;
-  uint64_t soft_pending_compaction_bytes_limit = 64ull << 30;
-
-  static EngineInfo FromOptions(const lsm::Options& options);
-};
-
 struct Diagnosis {
   std::string rule;     // stable identifier, e.g. "l0_compaction_backlog"
   double severity = 0;  // 0..1; report status derives from the max
@@ -46,14 +29,14 @@ struct Diagnosis {
   json::Object ToJson() const;
 };
 
-Diagnosis DiagnosisFromJson(const json::Value& obj);
-
 // Evaluate every rule against the latest sample (`recent.back()`),
-// using `recent` for short-horizon context and `anomalies` for events
-// confirmed in the diagnosis window. Returns diagnoses sorted by
-// severity (desc), rule name as the deterministic tie-break.
+// using `recent` for short-horizon context, `anomalies` for events
+// confirmed in the diagnosis window and `info` for the engine's static
+// option values (the live DB's options, or those a replayed LOG
+// recorded). Returns diagnoses sorted by severity (desc), rule name as
+// the deterministic tie-break.
 std::vector<Diagnosis> Diagnose(
     const std::vector<lsm::IntervalSample>& recent,
-    const std::vector<AnomalyEvent>& anomalies, const EngineInfo& info);
+    const std::vector<AnomalyEvent>& anomalies, const lsm::Options& info);
 
 }  // namespace elmo::monitor

@@ -13,16 +13,6 @@ const char* HealthStatusName(HealthStatus s) {
   return "unknown";
 }
 
-namespace {
-
-HealthStatus StatusFromName(const std::string& name) {
-  if (name == "critical") return HealthStatus::kCritical;
-  if (name == "warn") return HealthStatus::kWarn;
-  return HealthStatus::kOk;
-}
-
-}  // namespace
-
 std::string HealthReport::ToText() const {
   std::string out = "health: ";
   out += HealthStatusName(status);
@@ -60,39 +50,10 @@ json::Object HealthReport::ToJson() const {
   return o;
 }
 
-Status HealthReport::FromJson(const std::string& text, HealthReport* out) {
-  json::Value doc;
-  Status s = json::Parse(text, &doc);
-  if (!s.ok()) return s;
-  if (!doc.is_object()) return Status::Corruption("health: not an object");
-  *out = HealthReport();
-  const json::Value* v;
-  if ((v = doc.Find("status")) != nullptr && v->is_string()) {
-    out->status = StatusFromName(v->as_string());
-  }
-  if ((v = doc.Find("ts_us")) != nullptr && v->is_number()) {
-    out->ts_us = static_cast<uint64_t>(v->as_int());
-  }
-  if ((v = doc.Find("intervals_observed")) != nullptr && v->is_number()) {
-    out->intervals_observed = static_cast<uint64_t>(v->as_int());
-  }
-  if ((v = doc.Find("anomalies")) != nullptr && v->is_array()) {
-    for (const json::Value& e : v->as_array()) {
-      if (e.is_object()) out->anomalies.push_back(AnomalyEventFromJson(e));
-    }
-  }
-  if ((v = doc.Find("diagnoses")) != nullptr && v->is_array()) {
-    for (const json::Value& d : v->as_array()) {
-      if (d.is_object()) out->diagnoses.push_back(DiagnosisFromJson(d));
-    }
-  }
-  return Status::OK();
-}
-
 HealthMonitor::HealthMonitor(const MonitorConfig& config)
     : config_(config), detector_(config.detector) {}
 
-void HealthMonitor::SetEngineInfo(const EngineInfo& engine) {
+void HealthMonitor::SetEngineOptions(const lsm::Options& engine) {
   config_.engine = engine;
 }
 

@@ -15,7 +15,6 @@
 #include "monitor/detector.h"
 #include "monitor/diagnosis.h"
 #include "util/json.h"
-#include "util/status.h"
 
 namespace elmo::monitor {
 
@@ -37,12 +36,12 @@ struct HealthReport {
   // Multi-line human-readable rendering (bench report / prompt / CLI).
   std::string ToText() const;
   json::Object ToJson() const;
-  static Status FromJson(const std::string& text, HealthReport* out);
 };
 
 struct MonitorConfig {
   DetectorConfig detector;
-  EngineInfo engine;
+  // The option values the diagnosis rules compare against.
+  lsm::Options engine;
   // Samples the diagnosis rules may look back over.
   size_t diagnosis_window = 8;
   // Anomalies retained in the report (oldest dropped).
@@ -67,7 +66,7 @@ class HealthMonitor {
   // (DB::SetOptions retuned thresholds mid-run). Detector state and the
   // anomaly history are preserved — only future diagnoses see the new
   // triggers/capacities.
-  void SetEngineInfo(const EngineInfo& engine);
+  void SetEngineOptions(const lsm::Options& engine);
 
  private:
   MonitorConfig config_;

@@ -92,7 +92,7 @@ HealthTimeline AnalyzeHealthSeries(
 
 Status SamplesFromInfoLog(const std::string& text,
                           std::vector<lsm::IntervalSample>* samples,
-                          EngineInfo* info,
+                          lsm::Options* info,
                           std::vector<OptionsChangeEvent>* changes) {
   samples->clear();
   if (changes != nullptr) changes->clear();
@@ -120,7 +120,7 @@ Status SamplesFromInfoLog(const std::string& text,
         if (IniDoc::Parse(ini->as_string(), &doc).ok()) {
           lsm::Options opts;
           if (lsm::OptionsSchema::Instance().FromIni(doc, &opts).ok()) {
-            *info = EngineInfo::FromOptions(opts);
+            *info = opts;
           }
         }
       }
@@ -180,7 +180,7 @@ Status SamplesFromJsonDoc(const std::string& text,
 
 Status LoadTelemetry(Env* env, const std::string& path,
                      std::vector<lsm::IntervalSample>* samples,
-                     EngineInfo* info,
+                     lsm::Options* info,
                      std::vector<OptionsChangeEvent>* changes) {
   samples->clear();
   if (changes != nullptr) changes->clear();

@@ -54,13 +54,13 @@ HealthTimeline AnalyzeHealthSeries(
     const MonitorConfig& config);
 
 // Parse `sampler_tick` events out of a JSONL info LOG. When the LOG's
-// "options" event is present, *info is refined from its ini text so the
+// "options" event is present, *info is set from its ini text so the
 // diagnosis rules use the recorded DB's actual triggers. When `changes`
 // is non-null it collects the LOG's `options_change` events (dynamic
 // SetOptions batches) in recording order.
 Status SamplesFromInfoLog(const std::string& text,
                           std::vector<lsm::IntervalSample>* samples,
-                          EngineInfo* info,
+                          lsm::Options* info,
                           std::vector<OptionsChangeEvent>* changes = nullptr);
 
 // Load telemetry samples from `path` (sniffed: JSONL LOG, timeseries
@@ -71,7 +71,7 @@ Status SamplesFromInfoLog(const std::string& text,
 // options_change events).
 Status LoadTelemetry(Env* env, const std::string& path,
                      std::vector<lsm::IntervalSample>* samples,
-                     EngineInfo* info,
+                     lsm::Options* info,
                      std::vector<OptionsChangeEvent>* changes = nullptr);
 
 // LoadTelemetry + AnalyzeHealthSeries. `config.engine` is the fallback

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -76,6 +77,19 @@ TEST(BenchRunner, DeterministicAcrossRuns) {
   auto rb = b.Run(spec, lsm::Options());
   EXPECT_EQ(ra.ops_per_sec, rb.ops_per_sec);
   EXPECT_EQ(ra.p99_write_us(), rb.p99_write_us());
+}
+
+TEST(BenchRunner, CacheHitRateIsTheUnroundedRatio) {
+  // The hit rate is hits / (hits + misses), rounded once where a report
+  // prints it; this fixed-seed run's ratio is not a multiple of 1e-4.
+  BenchRunner runner(TestHw());
+  auto r = runner.Run(WorkloadSpec::ReadRandomWriteRandom(20000),
+                      lsm::Options());
+  ASSERT_GT(r.block_cache_hit_rate, 0.0);
+  ASSERT_LT(r.block_cache_hit_rate, 1.0);
+  const double scaled = r.block_cache_hit_rate * 1e4;
+  EXPECT_GT(std::abs(scaled - std::round(scaled)), 1e-6)
+      << r.block_cache_hit_rate;
 }
 
 TEST(BenchRunner, ProbeRunsFewerOps) {

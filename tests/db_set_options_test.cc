@@ -141,6 +141,19 @@ TEST_F(DbSetOptionsTest, StallTriggerOrderingReimposed) {
   EXPECT_EQ("10", LiveOption("level0_stop_writes_trigger"));
 }
 
+TEST_F(DbSetOptionsTest, ShrinkingBufferNumberClampsMergeCountLikeReopen) {
+  // min_write_buffer_number_to_merge must stay below the buffer count;
+  // shrinking the count live lands where a reopen with the same values
+  // would: 2 buffers leave room to merge 1.
+  options_.max_write_buffer_number = 4;
+  options_.min_write_buffer_number_to_merge = 3;
+  Reopen();
+  ASSERT_EQ("3", LiveOption("min_write_buffer_number_to_merge"));
+  ASSERT_TRUE(db_->SetOptions({{"max_write_buffer_number", "2"}}).ok());
+  EXPECT_EQ("2", LiveOption("max_write_buffer_number"));
+  EXPECT_EQ("1", LiveOption("min_write_buffer_number_to_merge"));
+}
+
 TEST_F(DbSetOptionsTest, SamplerCannotCrossZero) {
   // This DB opened with the sampler off; a live cadence cannot create
   // the sampler thread.

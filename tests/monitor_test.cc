@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -115,7 +116,7 @@ TEST(Detector, MonotoneDebtGrowthFiresTrend) {
   EXPECT_TRUE(trend);
 }
 
-TEST(Detector, EventJsonRoundTrip) {
+TEST(Detector, EventToJson) {
   AnomalyEvent e;
   e.ts_us = 123456;
   e.metric = Metric::kScanShare;
@@ -125,20 +126,20 @@ TEST(Detector, EventJsonRoundTrip) {
   e.before = 0.1;
   e.after = 0.9;
   e.zscore = 5.5;
-  const AnomalyEvent back = AnomalyEventFromJson(json::Value(e.ToJson()));
-  EXPECT_EQ(back.ts_us, e.ts_us);
-  EXPECT_EQ(back.metric, e.metric);
-  EXPECT_EQ(back.kind, e.kind);
-  EXPECT_EQ(back.direction, e.direction);
-  EXPECT_EQ(back.phase_shift, e.phase_shift);
-  EXPECT_DOUBLE_EQ(back.before, e.before);
-  EXPECT_DOUBLE_EQ(back.after, e.after);
+  const json::Value doc(e.ToJson());
+  EXPECT_EQ(doc.Find("ts_us")->as_int(), 123456);
+  EXPECT_EQ(doc.Find("metric")->as_string(), "scan_share");
+  EXPECT_EQ(doc.Find("kind")->as_string(), "level_shift");
+  EXPECT_EQ(doc.Find("direction")->as_int(), 1);
+  EXPECT_TRUE(doc.Find("phase_shift")->as_bool());
+  EXPECT_DOUBLE_EQ(doc.Find("before")->as_double(), 0.1);
+  EXPECT_DOUBLE_EQ(doc.Find("after")->as_double(), 0.9);
 }
 
 // ---- diagnosis rules ----
 
 TEST(Diagnosis, L0BacklogOutranksEverythingAtStopTrigger) {
-  EngineInfo info;  // defaults: slowdown 20, stop 36
+  Options info;  // defaults: slowdown 20, stop 36
   IntervalSample s = MakeSample(1'000'000, 1000, 0);
   s.stall_micros = 400'000;
   s.stall_fraction = 0.4;
@@ -157,7 +158,7 @@ TEST(Diagnosis, L0BacklogOutranksEverythingAtStopTrigger) {
 }
 
 TEST(Diagnosis, PhaseShiftAnomalyYieldsWorkloadRule) {
-  EngineInfo info;
+  Options info;
   IntervalSample s = MakeSample(1'000'000, 0, 50000);
   AnomalyEvent e;
   e.ts_us = 1'000'000;
@@ -172,7 +173,7 @@ TEST(Diagnosis, PhaseShiftAnomalyYieldsWorkloadRule) {
   EXPECT_TRUE(found);
 }
 
-TEST(Diagnosis, JsonRoundTrip) {
+TEST(Diagnosis, ToJson) {
   Diagnosis d;
   d.rule = "cache_thrash";
   d.severity = 0.66;
@@ -180,11 +181,17 @@ TEST(Diagnosis, JsonRoundTrip) {
   d.cause = "working set larger than block cache";
   d.evidence = {"hit ratio 0.31", "usage 100% of capacity"};
   d.suggested_options = {"block_cache_size"};
-  const Diagnosis back = DiagnosisFromJson(json::Value(d.ToJson()));
-  EXPECT_EQ(back.rule, d.rule);
-  EXPECT_DOUBLE_EQ(back.severity, d.severity);
-  EXPECT_EQ(back.evidence, d.evidence);
-  EXPECT_EQ(back.suggested_options, d.suggested_options);
+  const json::Value doc(d.ToJson());
+  EXPECT_EQ(doc.Find("rule")->as_string(), "cache_thrash");
+  EXPECT_DOUBLE_EQ(doc.Find("severity")->as_double(), 0.66);
+  EXPECT_EQ(doc.Find("symptom")->as_string(), d.symptom);
+  EXPECT_EQ(doc.Find("cause")->as_string(), d.cause);
+  ASSERT_EQ(doc.Find("evidence")->as_array().size(), 2u);
+  EXPECT_EQ(doc.Find("evidence")->as_array()[1].as_string(),
+            "usage 100% of capacity");
+  ASSERT_EQ(doc.Find("suggested_options")->as_array().size(), 1u);
+  EXPECT_EQ(doc.Find("suggested_options")->as_array()[0].as_string(),
+            "block_cache_size");
 }
 
 // ---- prometheus exposition ----
@@ -238,6 +245,7 @@ Options BaseOptions(Env* env) {
 }
 
 struct ThreePhaseRun {
+  std::optional<HealthReport> health;
   std::string health_json;
   std::string prometheus;
   std::string timeseries_json;
@@ -273,6 +281,7 @@ ThreePhaseRun RunThreePhase(SimEnv* env) {
     iter->Seek(key);
     for (int n = 0; n < 10 && iter->Valid(); n++) iter->Next();
   }
+  out.health = db->GetHealth();
   EXPECT_TRUE(db->GetProperty("elmo.health", &out.health_json));
   EXPECT_TRUE(db->GetProperty("elmo.prometheus", &out.prometheus));
   EXPECT_TRUE(db->GetProperty("elmo.timeseries", &out.timeseries_json));
@@ -283,13 +292,12 @@ ThreePhaseRun RunThreePhase(SimEnv* env) {
 TEST(MonitorGolden, ThreePhaseWorkloadFlagsExactlyTwoTransitions) {
   auto env = MakeEnv(/*seed=*/7);
   const ThreePhaseRun run = RunThreePhase(env.get());
-
-  HealthReport report;
-  ASSERT_TRUE(HealthReport::FromJson(run.health_json, &report).ok())
-      << run.health_json;
+  ASSERT_TRUE(run.health.has_value());
+  // The property renders the same report the typed read returns.
+  EXPECT_EQ(json::Value(run.health->ToJson()).Dump(), run.health_json);
 
   std::vector<AnomalyEvent> shifts;
-  for (const auto& e : report.anomalies) {
+  for (const auto& e : run.health->anomalies) {
     if (e.phase_shift) shifts.push_back(e);
   }
   ASSERT_EQ(shifts.size(), 2u)
@@ -321,12 +329,10 @@ TEST(MonitorGolden, StableWorkloadFlagsNoPhaseShift) {
     snprintf(key, sizeof(key), "%012d", i % 5000);
     ASSERT_TRUE(db->Put({}, key, value).ok());
   }
-  std::string health;
-  ASSERT_TRUE(db->GetProperty("elmo.health", &health));
-  HealthReport report;
-  ASSERT_TRUE(HealthReport::FromJson(health, &report).ok()) << health;
-  EXPECT_GE(report.intervals_observed, 6u);
-  for (const auto& e : report.anomalies) {
+  const std::optional<HealthReport> report = db->GetHealth();
+  ASSERT_TRUE(report.has_value());
+  EXPECT_GE(report->intervals_observed, 6u);
+  for (const auto& e : report->anomalies) {
     EXPECT_FALSE(e.phase_shift) << e.ToString();
   }
   db.reset();
@@ -371,14 +377,12 @@ TEST(MonitorGolden, PlantedL0BacklogIsTopDiagnosis) {
     // Pace ingest just above flush capacity (virtual-clock sleep).
     if (i % 4 == 3) env->SleepForMicroseconds(200);
   }
-  std::string health;
-  ASSERT_TRUE(db->GetProperty("elmo.health", &health));
-  HealthReport report;
-  ASSERT_TRUE(HealthReport::FromJson(health, &report).ok()) << health;
-  ASSERT_FALSE(report.diagnoses.empty()) << health;
-  EXPECT_EQ(report.diagnoses.front().rule, "l0_compaction_backlog")
-      << health;
-  EXPECT_NE(report.status, HealthStatus::kOk);
+  const std::optional<HealthReport> report = db->GetHealth();
+  ASSERT_TRUE(report.has_value());
+  ASSERT_FALSE(report->diagnoses.empty()) << report->ToText();
+  EXPECT_EQ(report->diagnoses.front().rule, "l0_compaction_backlog")
+      << report->ToText();
+  EXPECT_NE(report->status, HealthStatus::kOk);
   db.reset();
 }
 
@@ -388,6 +392,7 @@ TEST(MonitorGolden, HealthPropertyDisabledWithoutMonitor) {
   o.enable_health_monitor = false;
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(o, "/db", &db).ok());
+  EXPECT_FALSE(db->GetHealth().has_value());
   std::string health;
   ASSERT_TRUE(db->GetProperty("elmo.health", &health));
   EXPECT_NE(health.find("disabled"), std::string::npos) << health;
@@ -412,6 +417,8 @@ TEST(MonitorOffline, LogReplayMatchesLiveVerdict) {
     if (e.phase_shift) shifts++;
   }
   EXPECT_EQ(shifts, 2u);
+  EXPECT_EQ(json::Value(timeline.final_report.ToJson()).Dump(),
+            run.health_json);
   EXPECT_FALSE(timeline.entries.empty());
   EXPECT_FALSE(timeline.ToText().empty());
   json::Value doc;
@@ -434,6 +441,8 @@ TEST(MonitorOffline, TimeseriesJsonReplayWorks) {
     if (e.phase_shift) shifts++;
   }
   EXPECT_EQ(shifts, 2u);
+  EXPECT_EQ(json::Value(timeline.final_report.ToJson()).Dump(),
+            run.health_json);
 }
 
 TEST(MonitorOffline, PrometheusFileRejectedWithHint) {
@@ -465,6 +474,15 @@ TEST(MonitorIntegration, BenchResultCarriesHealthEvidence) {
   const json::Value* health = doc.Find("health");
   ASSERT_NE(health, nullptr);
   EXPECT_NE(health->Find("status"), nullptr);
+}
+
+TEST(MonitorIntegration, DisabledMonitorLeavesBenchResultWithoutHealth) {
+  BenchRunner runner(HardwareProfile::Make(4, 4, DeviceModel::NvmeSsd()));
+  Options o;
+  o.enable_health_monitor = false;
+  const auto r = runner.Run(WorkloadSpec::FillRandom(5000), o);
+  EXPECT_FALSE(r.health.has_value());
+  EXPECT_EQ(r.ToReport().find("Health & diagnosis"), std::string::npos);
 }
 
 }  // namespace

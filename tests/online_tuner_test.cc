@@ -112,7 +112,8 @@ TEST(OnlineTuner, TimelineIsDeterministicAcrossSameSeedRuns) {
   OnlineRun b = RunPhasedOnline(&expert_b);
   ASSERT_NE(nullptr, a.tuner);
   ASSERT_NE(nullptr, b.tuner);
-  EXPECT_EQ(a.tuner->TimelineJson(), b.tuner->TimelineJson());
+  EXPECT_EQ(json::Value(a.tuner->TimelineJson()).Dump(),
+            json::Value(b.tuner->TimelineJson()).Dump());
   EXPECT_EQ(a.result.ops_per_sec, b.result.ops_per_sec);
 }
 

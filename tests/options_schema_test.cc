@@ -15,15 +15,6 @@ TEST(OptionsSchema, RegistryIsSubstantial) {
   EXPECT_GE(S().deprecated().size(), 5u);
 }
 
-TEST(OptionsSchema, DefaultsMatchOptionsStruct) {
-  Options defaults;
-  for (const auto& info : S().all()) {
-    EXPECT_EQ(info.default_value, info.get(defaults))
-        << "option " << info.name
-        << ": schema default disagrees with Options{} field";
-  }
-}
-
 TEST(OptionsSchema, EveryOptionRoundTripsThroughSetGet) {
   Options opts;
   for (const auto& info : S().all()) {

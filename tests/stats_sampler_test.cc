@@ -32,7 +32,7 @@ TEST(StatsSamplerTest, TicksProduceIntervalDeltas) {
   stats.Add(Ticker::kGetHit, 10);
   ASSERT_TRUE(sampler.Tick(2000, g));
 
-  auto samples = sampler.Samples();
+  auto samples = sampler.Series().samples;
   ASSERT_EQ(samples.size(), 2u);
   // First interval: 100 writes over 1000us.
   EXPECT_EQ(samples[0].writes, 100u);
@@ -64,7 +64,7 @@ TEST(StatsSamplerTest, RingDropsOldestAndCounts) {
   }
   EXPECT_EQ(sampler.NumSamples(), 4u);
   EXPECT_EQ(sampler.DroppedSamples(), 6u);
-  auto samples = sampler.Samples();
+  auto samples = sampler.Series().samples;
   EXPECT_EQ(samples.front().ts_us, 70u);  // oldest retained
   EXPECT_EQ(samples.back().ts_us, 100u);
 }
@@ -82,7 +82,7 @@ TEST(StatsSamplerTest, JsonRoundTrip) {
   g.level_files[1] = 5;
   ASSERT_TRUE(sampler.Tick(1000, g));
 
-  const std::string text = sampler.ToJson();
+  const std::string text = TimeSeriesToJson(sampler.Series());
   json::Value doc;
   ASSERT_TRUE(json::Parse(text, &doc).ok()) << text;
 
@@ -110,7 +110,8 @@ TEST(StatsSamplerTest, SeeksSurviveJsonRoundTrip) {
   EngineGauges g;
   ASSERT_TRUE(sampler.Tick(1000, g));
   std::vector<IntervalSample> parsed;
-  ASSERT_TRUE(TimeSeriesFromJson(sampler.ToJson(), &parsed).ok());
+  ASSERT_TRUE(
+      TimeSeriesFromJson(TimeSeriesToJson(sampler.Series()), &parsed).ok());
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed[0].seeks, 13u);
   // Seeks are a separate stream: not folded into ops.

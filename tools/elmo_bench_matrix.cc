@@ -169,7 +169,7 @@ int RunOnlineVsOfflineMode(uint64_t seed, bool use_llm, bool require_win,
     return 2;
   }
   if (!timeline_out.empty() &&
-      !WriteFile(timeline_out, report.timeline_json)) {
+      !WriteFile(timeline_out, elmo::json::Value(report.timeline).Dump(2))) {
     fprintf(stderr, "elmo_bench_matrix: cannot write %s\n",
             timeline_out.c_str());
     return 2;
