@@ -33,64 +33,43 @@ inline void RunIterationFigure(const char* figure_name,
     s.outcome = RunCell(hw, s.spec, seed++).outcome;
   }
 
-  PrintHeader(std::string(figure_name) + " (a): Throughput (ops/sec), " +
-                  device.name + ", 2 CPUs + 4 GiB",
-              paper_ref);
-  printf("%-12s |", "Iteration");
-  for (int it = 0; it <= 7; it++) printf(" %9d |", it);
-  printf("\n");
-  for (const auto& s : series) {
-    printf("%-12s |", s.label);
-    printf(" %9.0f |", s.outcome.baseline.ops_per_sec);
-    for (int it = 1; it <= 7; it++) {
-      if (it <= static_cast<int>(s.outcome.iterations.size())) {
-        printf(" %9.0f |", s.outcome.iterations[it - 1].result.ops_per_sec);
-      } else {
-        printf(" %9s |", "-");
-      }
-    }
+  // One row per series: iteration 0 (the default configuration), then
+  // each round's candidate, "-" past the session's last iteration.
+  // `reads_only` leaves out a series that issued no reads (Fillrandom).
+  auto print_table = [&](const std::string& title, int precision,
+                         bool reads_only, auto get) {
+    PrintHeader(title, paper_ref);
+    printf("%-12s |", "Iteration");
+    for (int it = 0; it <= 7; it++) printf(" %9d |", it);
     printf("\n");
-  }
-
-  PrintHeader(std::string(figure_name) + " (b): P99 Latency (Write, us)",
-              paper_ref);
-  printf("%-12s |", "Iteration");
-  for (int it = 0; it <= 7; it++) printf(" %9d |", it);
-  printf("\n");
-  for (const auto& s : series) {
-    printf("%-12s |", s.label);
-    printf(" %9.2f |", s.outcome.baseline.p99_write_us());
-    for (int it = 1; it <= 7; it++) {
-      if (it <= static_cast<int>(s.outcome.iterations.size())) {
-        printf(" %9.2f |", s.outcome.iterations[it - 1].result.p99_write_us());
-      } else {
-        printf(" %9s |", "-");
+    for (const auto& s : series) {
+      if (reads_only && s.outcome.baseline.read_micros.Count() == 0) {
+        continue;
       }
-    }
-    printf("\n");
-  }
-
-  PrintHeader(std::string(figure_name) + " (c): P99 Latency (Read, us)",
-              paper_ref);
-  printf("%-12s |", "Iteration");
-  for (int it = 0; it <= 7; it++) printf(" %9d |", it);
-  printf("\n");
-  for (const auto& s : series) {
-    if (s.outcome.baseline.read_micros.Count() == 0) continue;  // FR
-    printf("%-12s |", s.label);
-    printf(" %9.2f |", s.outcome.baseline.p99_read_us());
-    for (int it = 1; it <= 7; it++) {
-      if (it <= static_cast<int>(s.outcome.iterations.size())) {
-        printf(" %9.2f |", s.outcome.iterations[it - 1].result.p99_read_us());
-      } else {
-        printf(" %9s |", "-");
+      printf("%-12s |", s.label);
+      printf(" %9.*f |", precision, get(s.outcome.baseline));
+      for (int it = 1; it <= 7; it++) {
+        if (it <= static_cast<int>(s.outcome.iterations.size())) {
+          printf(" %9.*f |", precision,
+                 get(s.outcome.iterations[it - 1].result));
+        } else {
+          printf(" %9s |", "-");
+        }
       }
+      printf("\n");
     }
-    printf("\n");
-  }
+  };
+  const std::string figure(figure_name);
+  print_table(figure + " (a): Throughput (ops/sec), " + device.name +
+                  ", 2 CPUs + 4 GiB",
+              0, false,
+              [](const bench::BenchResult& r) { return r.ops_per_sec; });
+  print_table(figure + " (b): P99 Latency (Write, us)", 2, false,
+              [](const bench::BenchResult& r) { return r.p99_write_us(); });
+  print_table(figure + " (c): P99 Latency (Read, us)", 2, true,
+              [](const bench::BenchResult& r) { return r.p99_read_us(); });
 
-  PrintHeader(std::string(figure_name) +
-                  " (d): Throughput over time (engine sampler)",
+  PrintHeader(figure + " (d): Throughput over time (engine sampler)",
               paper_ref);
   for (const auto& s : series) {
     printf("%s, default configuration:\n%s", s.label,

@@ -33,33 +33,48 @@ lsm::Options ScaleCapacities(const lsm::Options& opts) {
   return o;
 }
 
+namespace {
+
+// The sampler's ring as it stands, into `r`.
+void TakeTimeSeries(DB* db, BenchResult* r) {
+  lsm::TimeSeries series = db->GetTimeSeries();
+  r->timeseries = std::move(series.samples);
+  r->sample_interval_us = series.interval_us;
+  r->timeseries_dropped = series.dropped;
+}
+
+}  // namespace
+
 BenchRunner::BenchRunner(const HardwareProfile& hw, uint64_t seed)
     : hw_(hw), seed_(seed) {}
 
 BenchResult BenchRunner::Run(const WorkloadSpec& spec,
                              const lsm::Options& tuning_opts,
-                             std::string* span_trace) {
-  return RunInternal(spec, tuning_opts, spec.num_ops, span_trace);
+                             std::string* span_trace,
+                             const EarlyStop& early_stop) {
+  return RunInternal(spec, tuning_opts, span_trace, early_stop, nullptr,
+                     /*hook_every=*/1);
 }
 
 BenchResult BenchRunner::RunProbe(const WorkloadSpec& spec,
                                   const lsm::Options& tuning_opts,
                                   uint64_t probe_ops) {
-  return RunInternal(spec, tuning_opts, std::min(probe_ops, spec.num_ops));
+  return Run(spec, tuning_opts, nullptr,
+             {probe_ops, [](const BenchResult&) { return true; }});
 }
 
 BenchResult BenchRunner::RunWithHook(const WorkloadSpec& spec,
                                      const lsm::Options& tuning_opts,
                                      const LiveHook& hook,
                                      uint64_t hook_every) {
-  return RunInternal(spec, tuning_opts, spec.num_ops, nullptr, hook,
+  return RunInternal(spec, tuning_opts, nullptr, {}, hook,
                      std::max<uint64_t>(hook_every, 1));
 }
 
 BenchResult BenchRunner::RunInternal(const WorkloadSpec& spec,
                                      const lsm::Options& tuning_opts,
-                                     uint64_t op_limit,
                                      std::string* span_trace,
+                                     const EarlyStop& early_stop,
                                      const LiveHook& hook,
                                      uint64_t hook_every) {
   BenchResult result;
@@ -138,11 +153,32 @@ BenchResult BenchRunner::RunInternal(const WorkloadSpec& spec,
   // ---- timed phase ----
   const uint64_t t_start = env->NowMicros();
   uint64_t bytes_processed = 0;
+  // Fills `r`'s throughput fields for the first `done` ops.
+  auto set_timing = [&](uint64_t done, BenchResult* r) {
+    uint64_t elapsed_us = env->NowMicros() - t_start;
+    if (elapsed_us == 0) elapsed_us = 1;
+    // T logical threads interleave their independent op streams; with
+    // enough cores the wall-clock contracts accordingly (first-order
+    // model — see DESIGN.md).
+    const double parallel = std::min(spec.threads, hw_.cpu_cores);
+    const double wall_seconds =
+        (elapsed_us / 1e6) / std::max(1.0, parallel);
+    r->ops = done - r->errors();
+    r->elapsed_seconds = wall_seconds;
+    r->ops_per_sec = r->ops / wall_seconds;
+    r->mb_per_sec = bytes_processed / 1048576.0 / wall_seconds;
+  };
 
   std::string read_value;
-  const uint64_t phase_len = std::max<uint64_t>(op_limit / 3, 1);
+  const uint64_t phase_len = std::max<uint64_t>(spec.num_ops / 3, 1);
   uint64_t i = 0;
-  for (; i < op_limit && result.write_errors == 0; i++) {
+  for (; i < spec.num_ops && result.write_errors == 0; i++) {
+    if (early_stop.stop && i == early_stop.at_op) {
+      BenchResult so_far = result;
+      set_timing(i, &so_far);
+      TakeTimeSeries(db.get(), &so_far);
+      if (early_stop.stop(so_far)) break;
+    }
     if (hook && i % hook_every == 0) hook(db.get(), i);
     bool is_write = false;
     bool is_scan = false;
@@ -210,21 +246,8 @@ BenchResult BenchRunner::RunInternal(const WorkloadSpec& spec,
     }
   }
 
-  if (hook) hook(db.get(), op_limit);  // final observation
-
-  uint64_t elapsed_us = env->NowMicros() - t_start;
-  if (elapsed_us == 0) elapsed_us = 1;
-
-  // T logical threads interleave their independent op streams; with
-  // enough cores the wall-clock contracts accordingly (first-order
-  // model — see DESIGN.md).
-  const double parallel = std::min(spec.threads, hw_.cpu_cores);
-  const double wall_seconds = (elapsed_us / 1e6) / std::max(1.0, parallel);
-
-  result.ops = i - result.errors();
-  result.elapsed_seconds = wall_seconds;
-  result.ops_per_sec = result.ops / wall_seconds;
-  result.mb_per_sec = bytes_processed / 1048576.0 / wall_seconds;
+  if (hook) hook(db.get(), spec.num_ops);  // final observation
+  set_timing(i, &result);
 
   const auto& st = db->stats();
   result.sim_seed = seed_;
@@ -253,9 +276,7 @@ BenchResult BenchRunner::RunInternal(const WorkloadSpec& spec,
     result.block_cache_hit_rate =
         static_cast<double>(st.Get(Ticker::kBlockCacheHit)) / cache_lookups;
   }
-  lsm::TimeSeries series = db->GetTimeSeries();
-  result.timeseries = std::move(series.samples);
-  result.sample_interval_us = series.interval_us;
+  TakeTimeSeries(db.get(), &result);
   result.health = db->GetHealth();
 
   // Close out the traces and distill them offline: per-kind/context IO

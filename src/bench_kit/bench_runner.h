@@ -26,6 +26,17 @@ inline constexpr uint64_t kCapacityScale = 64;
 
 lsm::Options ScaleCapacities(const lsm::Options& opts);
 
+// The benchmark monitor's checkpoint (ELMo-Tune's "first 30s" check):
+// before timed op `at_op`, `stop` sees the result so far (error counts,
+// latency histograms, ops, elapsed time, throughput and the sampler's
+// time series). Returning true ends the run there; the stopped run is
+// then assembled like a finished one. An empty `stop`, or an `at_op`
+// at or past the workload's end, never stops.
+struct EarlyStop {
+  uint64_t at_op = 0;
+  std::function<bool(const BenchResult& so_far)> stop;
+};
+
 class BenchRunner {
  public:
   BenchRunner(const HardwareProfile& hw, uint64_t seed = 42);
@@ -34,13 +45,15 @@ class BenchRunner {
   // file). A fresh environment and DB are created per call, like the
   // paper's per-iteration db_bench runs. The run's SimEnv dies with it,
   // so a caller that persists the raw ELMOSPN1 span trace passes
-  // `span_trace` to receive its bytes.
+  // `span_trace` to receive its bytes. `early_stop` (see EarlyStop)
+  // may end the run at its checkpoint.
   BenchResult Run(const WorkloadSpec& spec, const lsm::Options& tuning_opts,
-                  std::string* span_trace = nullptr);
+                  std::string* span_trace = nullptr,
+                  const EarlyStop& early_stop = {});
 
-  // Early-probe variant used by the Active Flagger's benchmark monitor:
-  // runs only `probe_ops` operations and reports the interim result
-  // (ELMo-Tune's "first 30s" check).
+  // `Run` stopped after `probe_ops` operations. TuningSession watches
+  // its one run through an EarlyStop instead; this stays for the
+  // wall-clock benchmark's session replay, which still calls it.
   BenchResult RunProbe(const WorkloadSpec& spec,
                        const lsm::Options& tuning_opts, uint64_t probe_ops);
 
@@ -58,10 +71,9 @@ class BenchRunner {
  private:
   BenchResult RunInternal(const WorkloadSpec& spec,
                           const lsm::Options& tuning_opts,
-                          uint64_t op_limit,
-                          std::string* span_trace = nullptr,
-                          const LiveHook& hook = nullptr,
-                          uint64_t hook_every = 512);
+                          std::string* span_trace,
+                          const EarlyStop& early_stop,
+                          const LiveHook& hook, uint64_t hook_every);
 
   HardwareProfile hw_;
   uint64_t seed_;

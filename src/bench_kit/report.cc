@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 #include "util/json.h"
-#include "util/string_util.h"
 
 namespace elmo::bench {
 
@@ -93,8 +91,9 @@ std::string BenchResult::ToReport() const {
   }
   AppendBlock("Engine statistics", engine_stats, &out);
   if (!timeseries.empty()) {
-    // Rows deliberately avoid the "micros/op ... ops/sec" shape so
-    // ParseReport's throughput scan cannot match them.
+    // Rows deliberately avoid the "ops/sec" text so the simulated
+    // expert's throughput scan (SimulatedExpertLlm::ParsePrompt) cannot
+    // match them.
     out += "Throughput over time:\n";
     out += TimeSeriesTable(timeseries, 20);
   }
@@ -153,77 +152,13 @@ std::string BenchResult::ToJson() const {
   }
   doc["timeseries"] = json::Object{
       {"interval_us", static_cast<int64_t>(sample_interval_us)},
-      {"dropped", static_cast<int64_t>(0)},
+      {"dropped", static_cast<int64_t>(timeseries_dropped)},
       {"samples", std::move(samples)}};
   if (io_analysis) doc["io_analysis"] = io_analysis->ToJson();
   if (cache_sim) doc["cache_sim"] = cache_sim->ToJson();
   if (span_attribution) doc["span_attribution"] = span_attribution->ToJson();
   if (health) doc["health"] = health->ToJson();
   return json::Value(std::move(doc)).Dump(2);
-}
-
-namespace {
-
-// Pull "P99: <x>" and "Average: <x>" out of a histogram block.
-void ParseHistogramBlock(const std::vector<std::string>& lines, size_t start,
-                         double* p99, double* avg) {
-  for (size_t i = start; i < lines.size() && i < start + 4; i++) {
-    const std::string& line = lines[i];
-    // Stop at the next histogram header so this block's numbers are not
-    // overwritten by the following one's.
-    if (line.find("Microseconds per") != std::string::npos) break;
-    size_t pos = line.find("P99: ");
-    if (pos != std::string::npos) {
-      auto v = ParseDouble(line.substr(pos + 5,
-                                       line.find(' ', pos + 5) - pos - 5));
-      if (v.has_value()) *p99 = *v;
-    }
-    pos = line.find("Average: ");
-    if (pos != std::string::npos) {
-      size_t begin = pos + 9;
-      size_t end = line.find(' ', begin);
-      auto v = ParseDouble(line.substr(begin, end - begin));
-      if (v.has_value()) *avg = *v;
-    }
-  }
-}
-
-}  // namespace
-
-std::optional<ParsedReport> ParseReport(const std::string& text) {
-  ParsedReport r;
-  bool found_throughput = false;
-  std::vector<std::string> lines = SplitLines(text);
-  for (size_t i = 0; i < lines.size(); i++) {
-    const std::string& line = lines[i];
-    size_t ops_pos = line.find(" ops/sec");
-    if (!found_throughput && ops_pos != std::string::npos &&
-        line.find("micros/op") != std::string::npos) {
-      // "<workload> : X micros/op Y ops/sec; ..."
-      size_t colon = line.find(':');
-      if (colon != std::string::npos) {
-        r.workload = TrimWhitespace(line.substr(0, colon));
-      }
-      size_t num_begin = line.rfind(' ', ops_pos - 1);
-      // ops_pos points at the space before "ops/sec"; the number sits
-      // between num_begin and ops_pos.
-      size_t mid = line.find("micros/op");
-      size_t begin = mid + strlen("micros/op");
-      auto v = ParseDouble(TrimWhitespace(
-          line.substr(begin, ops_pos - begin)));
-      (void)num_begin;
-      if (v.has_value()) {
-        r.ops_per_sec = *v;
-        found_throughput = true;
-      }
-    } else if (line.find("Microseconds per write:") != std::string::npos) {
-      ParseHistogramBlock(lines, i + 1, &r.p99_write_us, &r.avg_write_us);
-    } else if (line.find("Microseconds per read:") != std::string::npos) {
-      ParseHistogramBlock(lines, i + 1, &r.p99_read_us, &r.avg_read_us);
-    }
-  }
-  if (!found_throughput) return std::nullopt;
-  return r;
 }
 
 }  // namespace elmo::bench

@@ -1,7 +1,6 @@
 // BenchResult: measured outcome of one benchmark run, its db_bench-
-// style text rendering, and the parser the tuning framework uses to
-// read throughput / p99 numbers back out of that text (ELMo-Tune's
-// "Benchmark Parser" module consumes text, not structs).
+// style text rendering (what the tuning prompt carries) and its JSON
+// document.
 #pragma once
 
 #include <cstdint>
@@ -74,6 +73,9 @@ struct BenchResult {
   // figures and the tuning prompt use.
   std::vector<lsm::IntervalSample> timeseries;
   uint64_t sample_interval_us = 0;
+  // Samples the ring (Options::stats_history_size) evicted: a nonzero
+  // count means `timeseries` starts after the run did.
+  uint64_t timeseries_dropped = 0;
 
   // Offline-analyzer results from the run's IO, block-cache and span
   // traces (bench_kit/io_analyzer.h, cache_sim.h, span_analyzer.h), and
@@ -125,17 +127,5 @@ struct BenchResult {
 // (strided evenly); 0 means no limit. Empty input yields "".
 std::string TimeSeriesTable(const std::vector<lsm::IntervalSample>& samples,
                             size_t max_rows);
-
-// Subset of a report the tuning loop needs; parsed back from text.
-struct ParsedReport {
-  std::string workload;
-  double ops_per_sec = 0;
-  double p99_write_us = 0;
-  double p99_read_us = 0;
-  double avg_write_us = 0;
-  double avg_read_us = 0;
-};
-
-std::optional<ParsedReport> ParseReport(const std::string& text);
 
 }  // namespace elmo::bench

@@ -1,29 +1,11 @@
 #include "elmo/history_export.h"
 
-#include <cstdio>
 #include <set>
 #include <vector>
 
 #include "lsm/options_schema.h"
 
 namespace elmo::tune {
-
-std::string ExportIterationCsv(const TuningOutcome& outcome) {
-  std::string csv =
-      "iteration,throughput_ops_sec,p99_write_us,p99_read_us,kept\n";
-  char buf[160];
-  snprintf(buf, sizeof(buf), "0,%.2f,%.2f,%.2f,baseline\n",
-           outcome.baseline.ops_per_sec, outcome.baseline.p99_write_us(),
-           outcome.baseline.p99_read_us());
-  csv += buf;
-  for (const auto& it : outcome.iterations) {
-    snprintf(buf, sizeof(buf), "%d,%.2f,%.2f,%.2f,%s\n", it.iteration,
-             it.result.ops_per_sec, it.result.p99_write_us(),
-             it.result.p99_read_us(), it.kept ? "kept" : "reverted");
-    csv += buf;
-  }
-  return csv;
-}
 
 std::string ExportOptionTraceMarkdown(const TuningOutcome& outcome) {
   // Rows in first-touched order, like the paper's Table 5.

@@ -1,6 +1,5 @@
-// Export helpers for tuning histories: the CSV behind the paper's
-// Figures 3/4 (per-iteration series) and a Table-5-style change matrix
-// in Markdown. Lets downstream users plot their own runs.
+// Export helper for tuning histories: a Table-5-style change matrix in
+// Markdown.
 #pragma once
 
 #include <string>
@@ -8,10 +7,6 @@
 #include "elmo/tuning_session.h"
 
 namespace elmo::tune {
-
-// iteration,throughput_ops_sec,p99_write_us,p99_read_us,kept
-// (row 0 = the default baseline)
-std::string ExportIterationCsv(const TuningOutcome& outcome);
 
 // Markdown table: one row per option touched, one column per iteration
 // (the shape of the paper's Table 5). Reverted iterations are starred.

@@ -91,38 +91,40 @@ TuningOutcome TuningSession::Run(const Options& initial) {
       rec.applied_changes[k] = v;
     }
 
-    // Benchmark monitor: quick probe first; a collapsing config is
-    // aborted and reported back without paying for a full run.
+    // Benchmark monitor: the run's first probe_ops ops are judged at a
+    // checkpoint inside it; a collapsing config stops there and is
+    // reported back without paying for the rest of the run.
     const uint64_t probe_ops =
         cfg_.probe_fraction > 0
             ? static_cast<uint64_t>(workload_.num_ops * cfg_.probe_fraction)
             : 0;
+    ProbeVerdict verdict;
+    bench::EarlyStop monitor;
     if (probe_ops >= 100) {
-      bench::BenchResult probe =
-          runner_->RunProbe(workload_, candidate, probe_ops);
-      const ProbeVerdict verdict =
-          ActiveFlagger::JudgeProbe(best_result, probe);
-      if (verdict.abort) {
-        rec.early_aborted = true;
-        rec.result = probe;
-        rec.decision_reason =
-            "early monitor abort: " + verdict.reason + "; reverting";
-        deterioration_note =
-            "The configuration you proposed DECREASED performance "
-            "sharply (probe at " +
-            std::to_string((long long)probe.ops_per_sec) +
-            " ops/sec vs best " +
-            std::to_string((long long)best_result.ops_per_sec) +
-            ") and was reverted. Please take a different, more "
-            "conservative direction.";
-        history.push_back("Iteration " + std::to_string(it) +
-                          ": reverted (early abort)");
-        outcome.iterations.push_back(std::move(rec));
-        continue;
-      }
+      monitor = {probe_ops, [&](const bench::BenchResult& so_far) {
+                   verdict = ActiveFlagger::JudgeProbe(best_result, so_far);
+                   return verdict.abort;
+                 }};
+    }
+    rec.result = runner_->Run(workload_, candidate, nullptr, monitor);
+    if (verdict.abort) {
+      rec.early_aborted = true;
+      rec.decision_reason =
+          "early monitor abort: " + verdict.reason + "; reverting";
+      deterioration_note =
+          "The configuration you proposed DECREASED performance "
+          "sharply (probe at " +
+          std::to_string((long long)rec.result.ops_per_sec) +
+          " ops/sec vs best " +
+          std::to_string((long long)best_result.ops_per_sec) +
+          ") and was reverted. Please take a different, more "
+          "conservative direction.";
+      history.push_back("Iteration " + std::to_string(it) +
+                        ": reverted (early abort)");
+      outcome.iterations.push_back(std::move(rec));
+      continue;
     }
 
-    rec.result = runner_->Run(workload_, candidate);
     FlaggerDecision decision = ActiveFlagger::Judge(best_result, rec.result);
 
     // A faster configuration still has to survive crash certification

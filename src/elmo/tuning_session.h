@@ -22,8 +22,9 @@ namespace elmo::tune {
 
 struct TuningConfig {
   int max_iterations = 7;  // the paper converges within 7
-  // Early-abort probe: fraction of the workload run before the monitor
-  // decides whether to redo (0 disables the probe).
+  // Early-abort checkpoint: fraction of the workload after which the
+  // benchmark monitor judges the run so far and may stop it (0
+  // disables the checkpoint).
   double probe_fraction = 0.1;
   // Crash certification: before a winning configuration is kept, run it
   // through the elmo_stress harness (FaultInjectionEnv + crash/reopen
@@ -40,7 +41,7 @@ struct IterationRecord {
   // Option name -> value for changes that were actually applied.
   std::map<std::string, std::string> applied_changes;
   bench::BenchResult result;
-  bool early_aborted = false;  // probe triggered a redo
+  bool early_aborted = false;  // the monitor stopped the run early
   bool kept = false;
   std::string decision_reason;
   // Verdict of the crash-certification stress run ("" when disabled).

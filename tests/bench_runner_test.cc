@@ -9,6 +9,7 @@
 
 #include "env/mem_fs.h"
 #include "env/sim_env.h"
+#include "llm/expert_llm.h"
 #include "util/json.h"
 
 namespace elmo::bench {
@@ -100,17 +101,86 @@ TEST(BenchRunner, ProbeRunsFewerOps) {
   EXPECT_GT(probe.ops_per_sec, 0.0);
 }
 
-TEST(BenchRunner, ReportRoundTripsThroughParser) {
+// A checkpoint must not change the run it watches: one that never stops
+// leaves the result byte-identical, and one that stops before op n
+// gives exactly the run of the first n ops.
+TEST(BenchRunner, CheckpointLeavesTheRunUnchanged) {
+  const HardwareProfile profiles[] = {
+      TestHw(), HardwareProfile::Make(2, 4, DeviceModel::SataHdd())};
+  const WorkloadSpec specs[] = {
+      WorkloadSpec::FillRandom(20000),
+      WorkloadSpec::ReadRandom(3000, 20000),
+      WorkloadSpec::ReadRandomWriteRandom(8000),
+      WorkloadSpec::Mixgraph(8000),
+      WorkloadSpec::SeekRandom(500, 20000),
+  };
+  for (const HardwareProfile& hw : profiles) {
+    for (const WorkloadSpec& spec : specs) {
+      SCOPED_TRACE(hw.Label() + " " + spec.Describe());
+      BenchRunner runner(hw);
+      const uint64_t n = spec.num_ops / 10;
+
+      int calls = 0;
+      const EarlyStop watch{n, [&](const BenchResult& so_far) {
+                              calls++;
+                              EXPECT_EQ(n, so_far.ops);
+                              EXPECT_GT(so_far.ops_per_sec, 0.0);
+                              return false;
+                            }};
+      EXPECT_EQ(runner.Run(spec, lsm::Options()).ToJson(),
+                runner.Run(spec, lsm::Options(), nullptr, watch).ToJson());
+      EXPECT_EQ(1, calls);
+
+      BenchResult so_far;
+      const EarlyStop stop{n, [&](const BenchResult& r) {
+                             so_far = r;
+                             return true;
+                           }};
+      const BenchResult stopped =
+          runner.Run(spec, lsm::Options(), nullptr, stop);
+      WorkloadSpec prefix = spec;
+      prefix.num_ops = n;
+      EXPECT_EQ(runner.Run(prefix, lsm::Options()).ToJson(),
+                stopped.ToJson());
+      EXPECT_EQ(n, stopped.ops);
+      // What the checkpoint saw is what the stopped run reports.
+      EXPECT_EQ(stopped.ops_per_sec, so_far.ops_per_sec);
+      EXPECT_EQ(stopped.timeseries.size(), so_far.timeseries.size());
+    }
+  }
+}
+
+// A run longer than the sampler ring keeps only its tail and says how
+// many samples it lost.
+TEST(BenchRunner, ReportsSamplesTheRingDropped) {
+  lsm::Options opts;
+  opts.stats_history_size = 16;
+  opts.stats_sample_interval_ms = 1;
+  BenchRunner runner(TestHw());
+  auto r = runner.Run(WorkloadSpec::FillRandom(20000), opts);
+  EXPECT_EQ(16u, r.timeseries.size());
+  EXPECT_GT(r.timeseries_dropped, 0u);
+
+  json::Value doc;
+  ASSERT_TRUE(json::Parse(r.ToJson(), &doc).ok());
+  const json::Value* series = doc.Find("timeseries");
+  ASSERT_NE(nullptr, series);
+  const json::Value* dropped = series->Find("dropped");
+  ASSERT_NE(nullptr, dropped);
+  EXPECT_EQ(static_cast<int64_t>(r.timeseries_dropped), dropped->as_int());
+}
+
+TEST(BenchRunner, ExpertReadsReportThroughput) {
   BenchRunner runner(TestHw());
   auto spec = WorkloadSpec::Mixgraph(5000);
   spec.preload_keys = 2000;
   spec.num_keys = 10000;
   auto r = runner.Run(spec, lsm::Options());
-  auto parsed = ParseReport(r.ToReport());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ("mixgraph", parsed->workload);
-  EXPECT_NEAR(r.ops_per_sec, parsed->ops_per_sec,
-              r.ops_per_sec * 0.01 + 1);
+  // The report prints ops/sec rounded to a whole number.
+  EXPECT_NEAR(r.ops_per_sec,
+              llm::SimulatedExpertLlm::ParsePrompt(r.ToReport())
+                  .last_ops_per_sec,
+              0.5);
 }
 
 TEST(BenchRunner, ThreadsContractWallClock) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "lsm/db.h"
-#include "util/string_util.h"
 
 namespace elmo::tune {
 namespace {
@@ -33,20 +32,6 @@ TuningOutcome MakeOutcome() {
   return out;
 }
 
-TEST(HistoryExport, CsvShape) {
-  std::string csv = ExportIterationCsv(MakeOutcome());
-  auto lines = SplitLines(csv);
-  ASSERT_GE(lines.size(), 4u);
-  EXPECT_EQ("iteration,throughput_ops_sec,p99_write_us,p99_read_us,kept",
-            lines[0]);
-  EXPECT_NE(lines[1].find("0,1000.00"), std::string::npos);
-  EXPECT_NE(lines[1].find("baseline"), std::string::npos);
-  EXPECT_NE(lines[2].find("1,1500.00"), std::string::npos);
-  EXPECT_NE(lines[2].find("kept"), std::string::npos);
-  EXPECT_NE(lines[3].find("2,900.00"), std::string::npos);
-  EXPECT_NE(lines[3].find("reverted"), std::string::npos);
-}
-
 TEST(HistoryExport, MarkdownTraceShape) {
   std::string md = ExportOptionTraceMarkdown(MakeOutcome());
   EXPECT_NE(md.find("| Parameter | Default | Iter 1 | Iter 2 |"),
@@ -62,12 +47,6 @@ TEST(HistoryExport, MarkdownTraceShape) {
 
 TEST(HistoryExport, EmptyOutcome) {
   TuningOutcome out;
-  std::string csv = ExportIterationCsv(out);
-  // Header + baseline row (+ trailing newline artifact).
-  auto lines = SplitLines(csv);
-  ASSERT_GE(lines.size(), 2u);
-  EXPECT_TRUE(lines.back().empty());
-  EXPECT_EQ(3u, lines.size());
   std::string md = ExportOptionTraceMarkdown(out);
   EXPECT_NE(md.find("| Parameter | Default |"), std::string::npos);
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "llm/expert_llm.h"
+
 namespace elmo::bench {
 namespace {
 
@@ -31,23 +33,13 @@ TEST(Report, ContainsDbBenchStyleFields) {
   EXPECT_NE(text.find("LSM shape"), std::string::npos);
 }
 
-TEST(Report, ParseRoundTrip) {
+// The report's throughput line is what the simulated expert reads back.
+TEST(Report, ExpertReadsThroughputLine) {
   BenchResult r = MakeResult();
   for (int i = 0; i < 1000; i++) r.read_micros.Add(150.0);
-  auto parsed = ParseReport(r.ToReport());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ("fillrandom", parsed->workload);
-  EXPECT_NEAR(320000.0, parsed->ops_per_sec, 1.0);
-  EXPECT_NEAR(r.write_micros.Percentile(99.0), parsed->p99_write_us, 0.01);
-  EXPECT_NEAR(r.write_micros.Average(), parsed->avg_write_us, 0.01);
-  EXPECT_NEAR(r.read_micros.Percentile(99.0), parsed->p99_read_us, 0.01);
-}
-
-TEST(Report, ParseRejectsNonReports) {
-  EXPECT_FALSE(ParseReport("").has_value());
-  EXPECT_FALSE(ParseReport("hello world").has_value());
-  EXPECT_FALSE(
-      ParseReport("something about ops/sec but not a report").has_value());
+  const llm::PromptFacts facts =
+      llm::SimulatedExpertLlm::ParsePrompt(r.ToReport());
+  EXPECT_EQ(320000.0, facts.last_ops_per_sec);
 }
 
 TEST(Report, P99AccessorsHandleEmptyHistograms) {

@@ -7,6 +7,7 @@
 
 #include "elmo/prompt_generator.h"
 #include "llm/expert_llm.h"
+#include "lsm/options_schema.h"
 
 namespace elmo::tune {
 namespace {
@@ -115,10 +116,47 @@ TEST(TuningSession, EarlyAbortPathTriggers) {
   TuningSession session(&runner, &llm, SmallFill(), cfg);
   auto out = session.Run();
   ASSERT_EQ(1u, out.iterations.size());
-  if (out.iterations[0].early_aborted) {
-    EXPECT_FALSE(out.iterations[0].kept);
-    EXPECT_NE(out.iterations[0].decision_reason.find("early"),
-              std::string::npos);
+  const IterationRecord& rec = out.iterations[0];
+  EXPECT_TRUE(rec.early_aborted);
+  EXPECT_FALSE(rec.kept);
+  EXPECT_EQ(0u, rec.decision_reason.find("early monitor abort: probe "
+                                         "throughput"))
+      << rec.decision_reason;
+  // The run stopped at the checkpoint: 20% of the workload.
+  EXPECT_EQ(12000u, rec.result.ops);
+}
+
+// One benchmark run per candidate: an iteration the monitor aborts
+// reports exactly the run of its first probe_ops ops, and one it lets
+// through reports exactly the plain full run.
+TEST(TuningSession, EachIterationIsOneRunOfItsCandidate) {
+  bench::BenchRunner runner(TestHw());
+  llm::ScriptedLlm llm({
+      "```ini\nwrite_buffer_size = 65536\nmax_background_jobs = 1\n```\n",
+      "```ini\nmax_background_jobs = 4\n```\n",
+  });
+  TuningConfig cfg;
+  cfg.max_iterations = 2;
+  cfg.probe_fraction = 0.2;
+  TuningSession session(&runner, &llm, SmallFill(), cfg);
+  auto out = session.Run();
+  ASSERT_EQ(2u, out.iterations.size());
+  ASSERT_TRUE(out.iterations[0].early_aborted);
+  ASSERT_FALSE(out.iterations[1].early_aborted);
+
+  bench::BenchRunner reference(TestHw());
+  for (const IterationRecord& rec : out.iterations) {
+    SCOPED_TRACE(rec.iteration);
+    // Iteration 1 is reverted, so both candidates start from defaults.
+    lsm::Options candidate;
+    for (const auto& [name, value] : rec.applied_changes) {
+      ASSERT_TRUE(
+          lsm::OptionsSchema::Instance().Find(name)->set(&candidate, value)
+              .ok());
+    }
+    bench::WorkloadSpec spec = SmallFill();
+    if (rec.early_aborted) spec.num_ops = 12000;  // probe_ops
+    EXPECT_EQ(reference.Run(spec, candidate).ToJson(), rec.result.ToJson());
   }
 }
 
