@@ -258,6 +258,76 @@ void BM_IOTraceRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_IOTraceRoundTrip)->Arg(20000);
 
+// One L0->L1-shaped compaction on MemEnv, the job that dominates real
+// fills: 4 overlapping L0 files of about 1 MiB merged into a sorted run
+// of 5 L1 files of 1 MiB. The run and the L0 files are built outside
+// the timed region; reports ns per merged input entry.
+void BM_CompactionMerge(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  constexpr int kRunKeys = 36000;  // about 5 MiB of 16 B keys + 120 B values
+  constexpr int kL0Keys = 7200;    // about 1 MiB per L0 file
+  constexpr int kL0Files = 4;
+  const std::string value(120, 'v');
+  auto key_of = [](uint64_t i, char* buf) {
+    snprintf(buf, 17, "%016llu", static_cast<unsigned long long>(i));
+    return Slice(buf, 16);
+  };
+  Clock::duration merge{};
+  uint64_t entries = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    MemEnv env;
+    Options options;
+    options.env = &env;
+    options.create_if_missing = true;
+    options.disable_auto_compactions = true;
+    options.num_levels = 2;  // CompactRange is one L0->L1 job
+    options.write_buffer_size = 64 << 20;
+    options.target_file_size_base = 1 << 20;
+    options.bloom_filter_bits_per_key = 10;
+    std::unique_ptr<DB> db;
+    Status s = DB::Open(options, "/bm", &db);
+    char buf[17];
+    // The L1 run: two interleaved halves, merged and cut at 1 MiB.
+    for (int half = 0; s.ok() && half < 2; half++) {
+      for (int i = half; s.ok() && i < kRunKeys; i += 2) {
+        s = db->Put({}, key_of(uint64_t{4} * i, buf), value);
+      }
+      if (s.ok()) s = db->FlushMemTable();
+    }
+    if (s.ok()) s = db->CompactRange(nullptr, nullptr);
+    Random64 rng(42);
+    for (int f = 0; s.ok() && f < kL0Files; f++) {
+      for (int i = 0; s.ok() && i < kL0Keys; i++) {
+        s = db->Put({}, key_of(rng.Uniform(uint64_t{4} * kRunKeys), buf),
+                    value);
+      }
+      if (s.ok()) s = db->FlushMemTable();
+    }
+    std::string l0, l1;
+    db->GetProperty("elmo.num-files-at-level0", &l0);
+    db->GetProperty("elmo.num-files-at-level1", &l1);
+    if (!s.ok() || l0 != std::to_string(kL0Files) || l1 != "5") {
+      state.SkipWithError("setup did not build 4 L0 files over 5 L1 files");
+      return;
+    }
+    state.ResumeTiming();
+    const auto t0 = Clock::now();
+    s = db->CompactRange(nullptr, nullptr);
+    merge += Clock::now() - t0;
+    if (!s.ok()) {
+      state.SkipWithError("compaction failed");
+      return;
+    }
+    entries += kRunKeys + kL0Files * kL0Keys;
+  }
+  const double merge_ns = static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(merge).count());
+  state.counters["ns_per_entry"] = merge_ns / static_cast<double>(entries);
+  state.SetItemsProcessed(static_cast<int64_t>(entries));
+}
+BENCHMARK(BM_CompactionMerge)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 // Write a JSON benchmark report (headline numbers + the engine's

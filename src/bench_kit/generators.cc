@@ -2,15 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace elmo::bench {
 
 std::string MakeKey(uint64_t index) {
-  char buf[24];
-  snprintf(buf, sizeof(buf), "%016llu",
-           static_cast<unsigned long long>(index));
-  return std::string(buf, 16);
+  // The first 16 characters of "%016llu": zero-padded to 16 digits, and
+  // an index of 17 or more digits keeps its leading 16.
+  char buf[20];
+  size_t pos = sizeof(buf);
+  do {
+    buf[--pos] = static_cast<char>('0' + index % 10);
+    index /= 10;
+  } while (index != 0);
+  while (pos > sizeof(buf) - 16) buf[--pos] = '0';
+  return std::string(buf + pos, 16);
 }
 
 ZipfianGenerator::ZipfianGenerator(uint64_t n, double theta, uint64_t seed)

@@ -1,7 +1,6 @@
 #include "env/mem_env.h"
 
 #include <chrono>
-#include <cstring>
 #include <thread>
 
 namespace elmo {
@@ -13,14 +12,8 @@ class MemSequentialFile final : public SequentialFile {
   explicit MemSequentialFile(MemFs::FileRef file) : file_(std::move(file)) {}
 
   Status Read(size_t n, Slice* result, char* scratch) override {
-    std::lock_guard<std::mutex> l(file_->mu);
-    if (pos_ >= file_->data.size()) {
-      *result = Slice();
-      return Status::OK();
-    }
-    size_t avail = file_->data.size() - pos_;
-    size_t to_read = std::min(n, avail);
-    memcpy(scratch, file_->data.data() + pos_, to_read);
+    size_t to_read;
+    file_->Read(pos_, n, scratch, &to_read);
     pos_ += to_read;
     *result = Slice(scratch, to_read);
     return Status::OK();
@@ -42,13 +35,8 @@ class MemRandomAccessFile final : public RandomAccessFile {
 
   Status Read(uint64_t offset, size_t n, Slice* result,
               char* scratch) const override {
-    std::lock_guard<std::mutex> l(file_->mu);
-    if (offset >= file_->data.size()) {
-      *result = Slice();
-      return Status::OK();
-    }
-    size_t to_read = std::min<size_t>(n, file_->data.size() - offset);
-    memcpy(scratch, file_->data.data() + offset, to_read);
+    size_t to_read;
+    file_->Read(offset, n, scratch, &to_read);
     *result = Slice(scratch, to_read);
     return Status::OK();
   }
@@ -65,8 +53,7 @@ class MemWritableFile final : public WritableFile {
   Status Append(const Slice& data) override {
     Status s = fs_->ReserveAppend(data.size());
     if (!s.ok()) return s;
-    std::lock_guard<std::mutex> l(file_->mu);
-    file_->data.append(data.data(), data.size());
+    file_->Append(data.data(), data.size());
     return Status::OK();
   }
 
@@ -74,10 +61,7 @@ class MemWritableFile final : public WritableFile {
   Status Flush() override { return Status::OK(); }
   Status Sync() override { return Status::OK(); }
 
-  uint64_t GetFileSize() const override {
-    std::lock_guard<std::mutex> l(file_->mu);
-    return file_->data.size();
-  }
+  uint64_t GetFileSize() const override { return file_->Size(); }
 
  private:
   MemFs::FileRef file_;

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -19,9 +20,34 @@ namespace elmo {
 
 class MemFs {
  public:
-  struct FileNode {
-    std::mutex mu;
-    std::string data;
+  // One file's bytes, kept in chunks so an append never re-copies what
+  // is already written. Chunk i holds kMinChunk << i bytes, up to
+  // kMaxChunk: a small file stays small, a large one grows by a fixed
+  // kMaxChunk at a time. Every call takes the file's own mutex.
+  class FileNode {
+   public:
+    uint64_t Size() const;
+    // Appends n bytes; returns the new size.
+    uint64_t Append(const char* data, size_t n);
+    // Copies up to n bytes at `offset` into dst and sets *copied. False
+    // (and *copied = 0) when `offset` is at or past the end.
+    bool Read(uint64_t offset, size_t n, char* dst, size_t* copied) const;
+    // Runs `edit` on a flat copy of the bytes and stores back what it
+    // leaves, all under the file's mutex.
+    void Edit(const std::function<void(std::string*)>& edit);
+
+   private:
+    static constexpr size_t kMinChunk = 256;
+    static constexpr size_t kMaxChunk = 64 << 10;
+
+    static size_t ChunkSize(size_t chunk);
+    // Chunk holding byte `offset` and the position inside it.
+    static void Locate(uint64_t offset, size_t* chunk, size_t* within);
+    void AppendLocked(const char* data, size_t n);
+
+    mutable std::mutex mu_;
+    std::vector<std::unique_ptr<char[]>> chunks_;
+    uint64_t size_ = 0;
   };
   using FileRef = std::shared_ptr<FileNode>;
 
@@ -97,8 +123,19 @@ class MemFs {
     FileRef ref;
     Status s = Open(fname, &ref);
     if (!s.ok()) return s;
-    std::lock_guard<std::mutex> l(ref->mu);
-    *size = ref->data.size();
+    *size = ref->Size();
+    return Status::OK();
+  }
+
+  // Rewrites a file's bytes in place: `edit` gets a copy of the contents
+  // and whatever it leaves is stored back. Lets tests corrupt, truncate
+  // or extend a file.
+  Status EditFile(const std::string& fname,
+                  const std::function<void(std::string*)>& edit) {
+    FileRef ref;
+    Status s = Open(fname, &ref);
+    if (!s.ok()) return s;
+    ref->Edit(edit);
     return Status::OK();
   }
 
@@ -116,10 +153,7 @@ class MemFs {
   uint64_t TotalBytes() {
     std::lock_guard<std::mutex> l(mu_);
     uint64_t total = 0;
-    for (const auto& [path, node] : files_) {
-      std::lock_guard<std::mutex> fl(node->mu);
-      total += node->data.size();
-    }
+    for (const auto& [path, node] : files_) total += node->Size();
     return total;
   }
 

@@ -1,7 +1,6 @@
 #include "env/sim_env.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace elmo {
 
@@ -17,17 +16,12 @@ class SimSequentialFile final : public SequentialFile {
 
   Status Read(size_t n, Slice* result, char* scratch) override {
     size_t to_read;
-    size_t offset = pos_;
-    {
-      std::lock_guard<std::mutex> l(file_->mu);
-      if (pos_ >= file_->data.size()) {
-        *result = Slice();
-        return Status::OK();
-      }
-      to_read = std::min(n, file_->data.size() - pos_);
-      memcpy(scratch, file_->data.data() + pos_, to_read);
-      pos_ += to_read;
+    const size_t offset = pos_;
+    if (!file_->Read(offset, n, scratch, &to_read)) {
+      *result = Slice();
+      return Status::OK();
     }
+    pos_ += to_read;
     env_->ChargeRead(file_.get(), offset, to_read);
     *result = Slice(scratch, to_read);
     return Status::OK();
@@ -52,14 +46,9 @@ class SimRandomAccessFile final : public RandomAccessFile {
   Status Read(uint64_t offset, size_t n, Slice* result,
               char* scratch) const override {
     size_t to_read;
-    {
-      std::lock_guard<std::mutex> l(file_->mu);
-      if (offset >= file_->data.size()) {
-        *result = Slice();
-        return Status::OK();
-      }
-      to_read = std::min<size_t>(n, file_->data.size() - offset);
-      memcpy(scratch, file_->data.data() + offset, to_read);
+    if (!file_->Read(offset, n, scratch, &to_read)) {
+      *result = Slice();
+      return Status::OK();
     }
     bool in_window;
     {
@@ -77,12 +66,7 @@ class SimRandomAccessFile final : public RandomAccessFile {
   }
 
   void Readahead(uint64_t offset, uint64_t length) override {
-    uint64_t flen;
-    {
-      std::lock_guard<std::mutex> fl(file_->mu);
-      flen = file_->data.size();
-    }
-    uint64_t end = std::min(offset + length, flen);
+    uint64_t end = std::min(offset + length, file_->Size());
     if (end <= offset) return;
     // One positioning IO + streaming the whole window; reads inside the
     // window then cost DRAM only.
@@ -109,11 +93,7 @@ class SimWritableFile final : public WritableFile {
   Status Append(const Slice& data) override {
     Status s = env_->fs()->ReserveAppend(data.size());
     if (!s.ok()) return s;
-    {
-      std::lock_guard<std::mutex> l(file_->mu);
-      file_->data.append(data.data(), data.size());
-      size_ = file_->data.size();
-    }
+    size_ = file_->Append(data.data(), data.size());
     env_->ChargeAppend(&dirty_, data.size());
     return Status::OK();
   }

@@ -1476,7 +1476,9 @@ Status DBImpl::CompactionWork(std::unique_ptr<Compaction> c, int* l0_consumed,
 
   const SequenceNumber smallest_snapshot = SmallestSnapshot();
 
-  // Build the merged input iterator.
+  // Build the merged input iterator: one child per L0 file, one per
+  // sorted run (the inputs of a level >= 1). Files are opened in input
+  // order either way.
   TableIterOptions in_opts;
   in_opts.fill_cache = false;
   in_opts.readahead_bytes = options_.compaction_readahead_size;
@@ -1484,9 +1486,15 @@ Status DBImpl::CompactionWork(std::unique_ptr<Compaction> c, int* l0_consumed,
   uint64_t input_bytes = c->TotalInputBytes();
   for (int which = 0; which < 2; which++) {
     in_opts.level = which == 0 ? c->level() : c->output_level();
+    std::vector<std::unique_ptr<Iterator>> files;
     for (const auto& f : c->inputs(which)) {
-      children.push_back(
+      files.push_back(
           table_cache_->NewIterator(f->number, f->file_size, in_opts));
+    }
+    if (in_opts.level == 0) {
+      for (auto& f : files) children.push_back(std::move(f));
+    } else if (!files.empty()) {
+      children.push_back(NewSortedRunIterator(std::move(files)));
     }
   }
   auto input =
@@ -1594,6 +1602,14 @@ Status DBImpl::CompactionWork(std::unique_ptr<Compaction> c, int* l0_consumed,
   if (s.ok()) s = finish_output();
   env_->ChargeCpu(entries * cost::kCompactionPerEntryUs);
   input.reset();
+  // Only a failed job still has an output open; it is half written.
+  uint64_t abandoned_output = 0;
+  if (builder != nullptr) {
+    builder->Abandon();
+    builder.reset();
+    out_file.reset();
+    abandoned_output = current_output_number;
+  }
 
   mu_.lock();
 
@@ -1652,6 +1668,10 @@ Status DBImpl::CompactionWork(std::unique_ptr<Compaction> c, int* l0_consumed,
     for (const auto& out : outputs) {
       env_->RemoveFile(TableFileName(dbname_, out.number));
     }
+  }
+  if (abandoned_output != 0) {
+    pending_outputs_.erase(abandoned_output);
+    env_->RemoveFile(TableFileName(dbname_, abandoned_output));
   }
   RemoveObsoleteFiles();
   return s;

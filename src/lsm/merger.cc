@@ -6,33 +6,61 @@ namespace elmo::lsm {
 
 namespace {
 
+// A child iterator plus its Valid()/key() as of its last move (leveldb's
+// IteratorWrapper): the merge compares cached slices instead of making
+// two virtual calls per child per entry. key() stays live until the
+// child moves, and every move goes through Update().
+struct MergeChild {
+  std::unique_ptr<Iterator> iter;
+  bool valid = false;
+  Slice key;
+
+  void Update() {
+    valid = iter->Valid();
+    if (valid) key = iter->key();
+  }
+};
+
 // Linear-scan merge (leveldb's approach): child counts are small — a
-// handful of memtables plus one iterator per sorted run.
+// handful of memtables plus one iterator per L0 file or sorted run.
 class MergingIterator : public Iterator {
  public:
   MergingIterator(const Comparator* comparator,
                   std::vector<std::unique_ptr<Iterator>> children)
       : comparator_(comparator),
-        children_(std::move(children)),
+        children_(children.size()),
         current_(nullptr),
-        direction_(kForward) {}
+        direction_(kForward) {
+    for (size_t i = 0; i < children.size(); i++) {
+      children_[i].iter = std::move(children[i]);
+    }
+  }
 
   bool Valid() const override { return current_ != nullptr; }
 
   void SeekToFirst() override {
-    for (auto& child : children_) child->SeekToFirst();
+    for (auto& child : children_) {
+      child.iter->SeekToFirst();
+      child.Update();
+    }
     FindSmallest();
     direction_ = kForward;
   }
 
   void SeekToLast() override {
-    for (auto& child : children_) child->SeekToLast();
+    for (auto& child : children_) {
+      child.iter->SeekToLast();
+      child.Update();
+    }
     FindLargest();
     direction_ = kReverse;
   }
 
   void Seek(const Slice& target) override {
-    for (auto& child : children_) child->Seek(target);
+    for (auto& child : children_) {
+      child.iter->Seek(target);
+      child.Update();
+    }
     FindSmallest();
     direction_ = kForward;
   }
@@ -43,17 +71,19 @@ class MergingIterator : public Iterator {
     // reverse iteration.
     if (direction_ != kForward) {
       for (auto& child : children_) {
-        if (child.get() != current_) {
-          child->Seek(key());
-          if (child->Valid() &&
-              comparator_->Compare(key(), child->key()) == 0) {
-            child->Next();
+        if (&child != current_) {
+          child.iter->Seek(key());
+          child.Update();
+          if (child.valid && comparator_->Compare(key(), child.key) == 0) {
+            child.iter->Next();
+            child.Update();
           }
         }
       }
       direction_ = kForward;
     }
-    current_->Next();
+    current_->iter->Next();
+    current_->Update();
     FindSmallest();
   }
 
@@ -61,36 +91,38 @@ class MergingIterator : public Iterator {
     assert(Valid());
     if (direction_ != kReverse) {
       for (auto& child : children_) {
-        if (child.get() != current_) {
-          child->Seek(key());
-          if (child->Valid()) {
+        if (&child != current_) {
+          child.iter->Seek(key());
+          if (child.iter->Valid()) {
             // Child is at first entry >= key(); step back one.
-            child->Prev();
+            child.iter->Prev();
           } else {
             // Child has nothing >= key(); position at its last entry.
-            child->SeekToLast();
+            child.iter->SeekToLast();
           }
+          child.Update();
         }
       }
       direction_ = kReverse;
     }
-    current_->Prev();
+    current_->iter->Prev();
+    current_->Update();
     FindLargest();
   }
 
   Slice key() const override {
     assert(Valid());
-    return current_->key();
+    return current_->key;
   }
 
   Slice value() const override {
     assert(Valid());
-    return current_->value();
+    return current_->iter->value();
   }
 
   Status status() const override {
     for (const auto& child : children_) {
-      if (!child->status().ok()) return child->status();
+      if (!child.iter->status().ok()) return child.iter->status();
     }
     return Status::OK();
   }
@@ -99,12 +131,12 @@ class MergingIterator : public Iterator {
   enum Direction { kForward, kReverse };
 
   void FindSmallest() {
-    Iterator* smallest = nullptr;
+    MergeChild* smallest = nullptr;
     for (auto& child : children_) {
-      if (child->Valid()) {
+      if (child.valid) {
         if (smallest == nullptr ||
-            comparator_->Compare(child->key(), smallest->key()) < 0) {
-          smallest = child.get();
+            comparator_->Compare(child.key, smallest->key) < 0) {
+          smallest = &child;
         }
       }
     }
@@ -112,14 +144,15 @@ class MergingIterator : public Iterator {
   }
 
   void FindLargest() {
-    Iterator* largest = nullptr;
-    // Scan backwards so that ties pick the earliest child (newest data),
-    // mirroring forward-direction tie behavior.
+    MergeChild* largest = nullptr;
+    // Scan backwards so that a tie picks the latest child: reverse
+    // iteration yields tied entries in exactly the reverse of their
+    // forward order (internal keys never tie).
     for (auto it = children_.rbegin(); it != children_.rend(); ++it) {
-      if ((*it)->Valid()) {
+      if (it->valid) {
         if (largest == nullptr ||
-            comparator_->Compare((*it)->key(), largest->key()) > 0) {
-          largest = it->get();
+            comparator_->Compare(it->key, largest->key) > 0) {
+          largest = &*it;
         }
       }
     }
@@ -127,9 +160,91 @@ class MergingIterator : public Iterator {
   }
 
   const Comparator* comparator_;
-  std::vector<std::unique_ptr<Iterator>> children_;
-  Iterator* current_;
+  std::vector<MergeChild> children_;
+  MergeChild* current_;
   Direction direction_;
+};
+
+// Concatenation of disjoint, ascending files. Positioning calls reach
+// every file in order (the files after the hit are parked at their first
+// entry, the ones before it at their last), so a forward walk reads each
+// file exactly as a per-file merge child would, in the same order.
+class SortedRunIterator : public Iterator {
+ public:
+  explicit SortedRunIterator(std::vector<std::unique_ptr<Iterator>> files)
+      : files_(std::move(files)) {}
+
+  bool Valid() const override { return files_[index_]->Valid(); }
+
+  void SeekToFirst() override {
+    for (auto& f : files_) f->SeekToFirst();
+    index_ = 0;
+    direction_ = kForward;
+    SkipForward();
+  }
+
+  void SeekToLast() override {
+    for (auto& f : files_) f->SeekToLast();
+    index_ = files_.size() - 1;
+    direction_ = kReverse;
+    SkipBackward();
+  }
+
+  void Seek(const Slice& target) override {
+    for (auto& f : files_) f->Seek(target);
+    index_ = 0;
+    direction_ = kForward;
+    SkipForward();
+  }
+
+  void Next() override {
+    assert(Valid());
+    if (direction_ != kForward) {
+      // Reverse moves left the later files anywhere; park them again.
+      for (size_t j = index_ + 1; j < files_.size(); j++) {
+        files_[j]->SeekToFirst();
+      }
+      direction_ = kForward;
+    }
+    files_[index_]->Next();
+    SkipForward();
+  }
+
+  void Prev() override {
+    assert(Valid());
+    if (direction_ != kReverse) {
+      for (size_t j = 0; j < index_; j++) files_[j]->SeekToLast();
+      direction_ = kReverse;
+    }
+    files_[index_]->Prev();
+    SkipBackward();
+  }
+
+  Slice key() const override { return files_[index_]->key(); }
+  Slice value() const override { return files_[index_]->value(); }
+
+  Status status() const override {
+    for (const auto& f : files_) {
+      if (!f->status().ok()) return f->status();
+    }
+    return Status::OK();
+  }
+
+ private:
+  enum Direction { kForward, kReverse };
+
+  // An exhausted (or failed) file hands over to its parked neighbour; a
+  // failure stays visible through status().
+  void SkipForward() {
+    while (!files_[index_]->Valid() && index_ + 1 < files_.size()) index_++;
+  }
+  void SkipBackward() {
+    while (!files_[index_]->Valid() && index_ > 0) index_--;
+  }
+
+  std::vector<std::unique_ptr<Iterator>> files_;
+  size_t index_ = 0;
+  Direction direction_ = kForward;
 };
 
 }  // namespace
@@ -140,6 +255,13 @@ std::unique_ptr<Iterator> NewMergingIterator(
   if (children.empty()) return NewEmptyIterator();
   if (children.size() == 1) return std::move(children[0]);
   return std::make_unique<MergingIterator>(comparator, std::move(children));
+}
+
+std::unique_ptr<Iterator> NewSortedRunIterator(
+    std::vector<std::unique_ptr<Iterator>> files) {
+  if (files.empty()) return NewEmptyIterator();
+  if (files.size() == 1) return std::move(files[0]);
+  return std::make_unique<SortedRunIterator>(std::move(files));
 }
 
 }  // namespace elmo::lsm

@@ -15,4 +15,11 @@ std::unique_ptr<Iterator> NewMergingIterator(
     const Comparator* comparator,
     std::vector<std::unique_ptr<Iterator>> children);
 
+// One iterator over a sorted run: `files` hold disjoint key ranges in
+// ascending order (a level >= 1). Positioning calls reach every file in
+// order, so the run reads exactly what one merge child per file would.
+// Takes ownership of the file iterators.
+std::unique_ptr<Iterator> NewSortedRunIterator(
+    std::vector<std::unique_ptr<Iterator>> files);
+
 }  // namespace elmo::lsm

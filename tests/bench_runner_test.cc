@@ -257,10 +257,10 @@ void CorruptTables(lsm::DB* db) {
   ASSERT_TRUE(fs->GetChildren("/bench/db", &children).ok());
   for (const std::string& name : children) {
     if (name.size() < 4 || name.substr(name.size() - 4) != ".sst") continue;
-    MemFs::FileRef file;
-    ASSERT_TRUE(fs->Open("/bench/db/" + name, &file).ok());
-    std::lock_guard<std::mutex> l(file->mu);
-    for (char& c : file->data) c = static_cast<char>(~c);
+    auto invert = [](std::string* data) {
+      for (char& c : *data) c = static_cast<char>(~c);
+    };
+    ASSERT_TRUE(fs->EditFile("/bench/db/" + name, invert).ok());
   }
 }
 

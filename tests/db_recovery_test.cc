@@ -56,26 +56,24 @@ class DbRecoveryTest : public ::testing::Test {
   }
 
   void TruncateFile(const std::string& path, size_t remove_bytes) {
-    MemFs::FileRef node;
-    ASSERT_TRUE(env_->fs()->Open(path, &node).ok());
-    std::lock_guard<std::mutex> l(node->mu);
-    ASSERT_GE(node->data.size(), remove_bytes);
-    node->data.resize(node->data.size() - remove_bytes);
+    auto truncate = [&](std::string* data) {
+      ASSERT_GE(data->size(), remove_bytes);
+      data->resize(data->size() - remove_bytes);
+    };
+    ASSERT_TRUE(env_->fs()->EditFile(path, truncate).ok());
   }
 
   void FlipByte(const std::string& path, size_t pos) {
-    MemFs::FileRef node;
-    ASSERT_TRUE(env_->fs()->Open(path, &node).ok());
-    std::lock_guard<std::mutex> l(node->mu);
-    ASSERT_LT(pos, node->data.size());
-    node->data[pos] ^= 0xff;
+    auto flip = [&](std::string* data) {
+      ASSERT_LT(pos, data->size());
+      (*data)[pos] ^= 0xff;
+    };
+    ASSERT_TRUE(env_->fs()->EditFile(path, flip).ok());
   }
 
   void AppendBytes(const std::string& path, const std::string& bytes) {
-    MemFs::FileRef node;
-    ASSERT_TRUE(env_->fs()->Open(path, &node).ok());
-    std::lock_guard<std::mutex> l(node->mu);
-    node->data.append(bytes);
+    auto append = [&](std::string* data) { data->append(bytes); };
+    ASSERT_TRUE(env_->fs()->EditFile(path, append).ok());
   }
 
   size_t SizeOf(const std::string& path) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 
 namespace elmo::bench {
@@ -13,6 +14,25 @@ TEST(MakeKey, FixedWidthOrdered) {
   EXPECT_LT(MakeKey(1), MakeKey(2));
   EXPECT_LT(MakeKey(99), MakeKey(100));
   EXPECT_EQ("0000000000000042", MakeKey(42));
+}
+
+TEST(MakeKey, MatchesPrintfPrefix) {
+  // Keys are the first 16 characters of "%016llu", so indexes of 17 or
+  // more digits keep their leading 16.
+  EXPECT_EQ("0000000000000000", MakeKey(0));
+  EXPECT_EQ("1000000000000000", MakeKey(1000000000000000ULL));
+  EXPECT_EQ("9999999999999999", MakeKey(9999999999999999ULL));
+  EXPECT_EQ("1000000000000000", MakeKey(10000000000000000ULL));
+  EXPECT_EQ("1234567890123456", MakeKey(12345678901234567890ULL));
+  EXPECT_EQ("1844674407370955", MakeKey(UINT64_MAX));
+  for (uint64_t index : {uint64_t{7}, uint64_t{123456789},
+                         uint64_t{99999999999999999ULL},
+                         uint64_t{10000000000000000000ULL}}) {
+    char buf[24];
+    snprintf(buf, sizeof(buf), "%016llu",
+             static_cast<unsigned long long>(index));
+    EXPECT_EQ(std::string(buf, 16), MakeKey(index)) << index;
+  }
 }
 
 TEST(Zipfian, InRangeAndDeterministic) {

@@ -46,18 +46,16 @@ class LogTest : public ::testing::Test {
   }
 
   void CorruptByte(size_t offset, char delta) {
-    MemFs::FileRef node;
-    ASSERT_TRUE(env_.fs()->Open("/log", &node).ok());
-    std::lock_guard<std::mutex> l(node->mu);
-    ASSERT_LT(offset, node->data.size());
-    node->data[offset] += delta;
+    auto corrupt = [&](std::string* data) {
+      ASSERT_LT(offset, data->size());
+      (*data)[offset] += delta;
+    };
+    ASSERT_TRUE(env_.fs()->EditFile("/log", corrupt).ok());
   }
 
   void TruncateTo(size_t size) {
-    MemFs::FileRef node;
-    ASSERT_TRUE(env_.fs()->Open("/log", &node).ok());
-    std::lock_guard<std::mutex> l(node->mu);
-    node->data.resize(size);
+    auto truncate = [&](std::string* data) { data->resize(size); };
+    ASSERT_TRUE(env_.fs()->EditFile("/log", truncate).ok());
   }
 
   size_t FileSize() {
@@ -231,17 +229,13 @@ TEST_F(LogTest, ReopenedWriterContinuesAtOffset) {
    public:
     explicit AppendFile(MemFs::FileRef n) : node_(std::move(n)) {}
     Status Append(const Slice& data) override {
-      std::lock_guard<std::mutex> l(node_->mu);
-      node_->data.append(data.data(), data.size());
+      node_->Append(data.data(), data.size());
       return Status::OK();
     }
     Status Close() override { return Status::OK(); }
     Status Flush() override { return Status::OK(); }
     Status Sync() override { return Status::OK(); }
-    uint64_t GetFileSize() const override {
-      std::lock_guard<std::mutex> l(node_->mu);
-      return node_->data.size();
-    }
+    uint64_t GetFileSize() const override { return node_->Size(); }
 
    private:
     MemFs::FileRef node_;

@@ -8,6 +8,7 @@
 #include "env/sim_env.h"
 #include "lsm/db.h"
 #include "lsm/event_listener.h"
+#include "util/random.h"
 
 namespace elmo::lsm {
 namespace {
@@ -283,6 +284,71 @@ TEST(SimDbTest, FlushCompletingInsideAWriteStopLiftsIt) {
     ASSERT_TRUE(s.ok()) << "put " << i << ": " << s.ToString();
   }
   EXPECT_GT(listener->stops, 0);
+}
+
+// The IO order of compaction on SimEnv, pinned: a seeded fillrandom
+// whose compactions merge L0 files with several-file sorted runs, with
+// the IO trace on. The trace bytes (every IO's virtual time, file,
+// offset and size) and the device counters must equal the goldens;
+// a change that reorders or adds compaction reads breaks them. Update
+// the goldens only with a change that means to move SimEnv's numbers.
+// Captured when compaction still gave its merge one child per input
+// file; the sorted-run child must read the same bytes in the same order.
+constexpr uint64_t kGoldenTraceBytes = 3723944;
+constexpr uint64_t kGoldenTraceDigest = 4903618936556779514ull;
+constexpr uint64_t kGoldenEndUs = 274448;
+constexpr uint64_t kGoldenReads = 7768;
+constexpr uint64_t kGoldenReadBytes = 47160188;
+constexpr uint64_t kGoldenPagecacheHits = 7065;
+constexpr uint64_t kGoldenWrites = 120369;
+constexpr uint64_t kGoldenWriteBytes = 35164928;
+constexpr uint64_t kGoldenSyncs = 1009;
+constexpr uint64_t kGoldenWritebackStalls = 0;
+
+TEST(SimDbTest, CompactionIoOrderIsPinned) {
+  SimEnv sim(HardwareProfile::Make(4, 4, DeviceModel::NvmeSsd()), 7);
+  Options o;
+  o.env = &sim;
+  o.create_if_missing = true;
+  o.write_buffer_size = 64 << 10;
+  o.max_bytes_for_level_base = 256 << 10;
+  o.target_file_size_base = 32 << 10;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(o, "/db", &db).ok());
+  ASSERT_TRUE(db->StartIOTrace("/io.trace").ok());
+  Random64 rng(2024);
+  const std::string value(200, 'v');
+  for (int i = 0; i < 20000; i++) {
+    char key[32];
+    snprintf(key, sizeof(key), "%016llu",
+             static_cast<unsigned long long>(rng.Uniform(20000)));
+    ASSERT_TRUE(db->Put({}, key, value).ok());
+  }
+  ASSERT_TRUE(db->WaitForBackgroundWork().ok());
+  ASSERT_TRUE(db->EndIOTrace().ok());
+  const SimEnv::IoStats io = sim.io_stats();
+  const uint64_t compactions = db->stats().Get(Ticker::kCompactionCount);
+  const uint64_t end_us = sim.NowMicros();
+  db.reset();
+
+  std::string bytes;
+  ASSERT_TRUE(sim.ReadFileToString("/io.trace", &bytes).ok());
+  uint64_t digest = 14695981039346656037ull;  // FNV-1a
+  for (char c : bytes) {
+    digest = (digest ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+  }
+
+  EXPECT_GT(compactions, 20u);
+  EXPECT_EQ(kGoldenTraceBytes, bytes.size());
+  EXPECT_EQ(kGoldenTraceDigest, digest);
+  EXPECT_EQ(kGoldenEndUs, end_us);
+  EXPECT_EQ(kGoldenReads, io.reads);
+  EXPECT_EQ(kGoldenReadBytes, io.read_bytes);
+  EXPECT_EQ(kGoldenPagecacheHits, io.pagecache_hits);
+  EXPECT_EQ(kGoldenWrites, io.writes);
+  EXPECT_EQ(kGoldenWriteBytes, io.write_bytes);
+  EXPECT_EQ(kGoldenSyncs, io.syncs);
+  EXPECT_EQ(kGoldenWritebackStalls, io.writeback_stalls);
 }
 
 }  // namespace

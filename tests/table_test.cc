@@ -171,12 +171,10 @@ TEST_F(TableTest, ThreadCacheCountsMatchCacheStatsOnFailedReads) {
   ropts.block_cache = NewLruCache(1 << 20);
   const auto entries = MakeEntries(2000);
   BuildAndOpen(entries, {}, {});
-  MemFs::FileRef node;
-  ASSERT_TRUE(env_.fs()->Open("/t.sst", &node).ok());
-  {
-    std::lock_guard<std::mutex> l(node->mu);
-    node->data[node->data.size() / 3] ^= 0x40;  // inside a data block
-  }
+  auto flip = [](std::string* data) {
+    (*data)[data->size() / 3] ^= 0x40;  // inside a data block
+  };
+  ASSERT_TRUE(env_.fs()->EditFile("/t.sst", flip).ok());
   std::unique_ptr<RandomAccessFile> rf;
   ASSERT_TRUE(env_.NewRandomAccessFile("/t.sst", &rf).ok());
   ASSERT_TRUE(Table::Open(ropts, std::move(rf), file_size_, &table_).ok());
@@ -249,12 +247,8 @@ TEST_F(TableTest, TruncatedFileRejected) {
 TEST_F(TableTest, FlippedBitDetectedByChecksum) {
   BuildAndOpen(MakeEntries(2000), {}, {});
   // Flip one byte in the middle of the data region.
-  MemFs::FileRef node;
-  ASSERT_TRUE(env_.fs()->Open("/t.sst", &node).ok());
-  {
-    std::lock_guard<std::mutex> l(node->mu);
-    node->data[node->data.size() / 3] ^= 0x40;
-  }
+  auto flip = [](std::string* data) { (*data)[data->size() / 3] ^= 0x40; };
+  ASSERT_TRUE(env_.fs()->EditFile("/t.sst", flip).ok());
   std::unique_ptr<RandomAccessFile> rf;
   ASSERT_TRUE(env_.NewRandomAccessFile("/t.sst", &rf).ok());
   std::unique_ptr<Table> fresh;
