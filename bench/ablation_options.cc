@@ -17,57 +17,34 @@ struct Variant {
 
 std::vector<Variant> MakeVariants() {
   std::vector<Variant> variants;
-  lsm::Options def;
-
-  variants.push_back({"default", def, true});
-
-  {
-    lsm::Options o = def;
+  // One variant: the default options with `tweak` applied.
+  auto add = [&variants](const char* name, bool write_side, auto tweak) {
+    lsm::Options o;
+    tweak(o);
+    variants.push_back({name, o, write_side});
+  };
+  using O = lsm::Options;
+  add("default", true, [](O&) {});
+  add("+bytes_per_sync=1M", true, [](O& o) {
     o.wal_bytes_per_sync = 1 << 20;
     o.bytes_per_sync = 1 << 20;
-    variants.push_back({"+bytes_per_sync=1M", o, true});
-  }
-  {
-    lsm::Options o = def;
-    o.max_background_jobs = 6;
-    variants.push_back({"+background_jobs=6", o, true});
-  }
-  {
-    lsm::Options o = def;
+  });
+  add("+background_jobs=6", true, [](O& o) { o.max_background_jobs = 6; });
+  add("+bigger_memtables", true, [](O& o) {
     o.write_buffer_size = 128ull << 20;
     o.max_write_buffer_number = 4;
-    variants.push_back({"+bigger_memtables", o, true});
-  }
-  {
-    lsm::Options o = def;
-    o.compaction_readahead_size = 4 << 20;
-    variants.push_back({"+readahead=4M", o, true});
-  }
-  {
-    lsm::Options o = def;
-    o.enable_pipelined_write = false;
-    variants.push_back({"-pipelined_write", o, true});
-  }
-  {
-    lsm::Options o = def;
-    o.bloom_filter_bits_per_key = 10;
-    variants.push_back({"+bloom=10bits", o, false});
-  }
-  {
-    lsm::Options o = def;
-    o.block_cache_size = 1ull << 30;
-    variants.push_back({"+cache=1G", o, false});
-  }
-  {
-    lsm::Options o = def;
+  });
+  add("+readahead=4M", true,
+      [](O& o) { o.compaction_readahead_size = 4 << 20; });
+  add("-pipelined_write", true,
+      [](O& o) { o.enable_pipelined_write = false; });
+  add("+bloom=10bits", false, [](O& o) { o.bloom_filter_bits_per_key = 10; });
+  add("+cache=1G", false, [](O& o) { o.block_cache_size = 1ull << 30; });
+  add("universal_compaction", true, [](O& o) {
     o.compaction_style = lsm::CompactionStyle::kUniversal;
-    variants.push_back({"universal_compaction", o, true});
-  }
-  {
-    lsm::Options o = def;
-    o.level_compaction_dynamic_level_bytes = true;
-    variants.push_back({"+dynamic_levels", o, true});
-  }
+  });
+  add("+dynamic_levels", true,
+      [](O& o) { o.level_compaction_dynamic_level_bytes = true; });
   return variants;
 }
 

@@ -68,8 +68,31 @@ inline void PrintHeader(const std::string& title,
   printf("=====================================================\n");
 }
 
-inline const char* DeviceShort(const DeviceModel& d) {
-  return d.name == "SATA HDD" ? "HDD" : "NVMe";
+// `v` to `decimals` places; whole numbers get thousands separators
+// ("119,860"), as in EXPERIMENTS.md.
+inline std::string Num(double v, int decimals = 0) {
+  std::string s(64, '\0');
+  s.resize(snprintf(s.data(), s.size(), "%.*f", decimals, v));
+  for (int i = static_cast<int>(s.size()) - 3;
+       decimals == 0 && i > (s[0] == '-'); i -= 3) {
+    s.insert(i, ",");
+  }
+  return s;
+}
+
+// Prints one markdown table: a header row, a `|---|` separator and the
+// data rows. tools/check_paper_table.py requires every printed table,
+// verbatim, in EXPERIMENTS.md, so the doc's tables are pasted from here.
+inline void PrintTable(const std::vector<std::string>& header,
+                       const std::vector<std::vector<std::string>>& rows) {
+  auto print_row = [](const std::vector<std::string>& cells) {
+    for (const auto& c : cells) printf("| %s ", c.c_str());
+    printf("|\n");
+  };
+  print_row(header);
+  for (size_t i = 0; i < header.size(); i++) printf("|---");
+  printf("|\n");
+  for (const auto& r : rows) print_row(r);
 }
 
 }  // namespace elmo::benchmain

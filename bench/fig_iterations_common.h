@@ -39,25 +39,22 @@ inline void RunIterationFigure(const char* figure_name,
   auto print_table = [&](const std::string& title, int precision,
                          bool reads_only, auto get) {
     PrintHeader(title, paper_ref);
-    printf("%-12s |", "Iteration");
-    for (int it = 0; it <= 7; it++) printf(" %9d |", it);
-    printf("\n");
+    std::vector<std::vector<std::string>> rows;
     for (const auto& s : series) {
       if (reads_only && s.outcome.baseline.read_micros.Count() == 0) {
         continue;
       }
-      printf("%-12s |", s.label);
-      printf(" %9.*f |", precision, get(s.outcome.baseline));
+      std::vector<std::string> row = {s.label,
+                                      Num(get(s.outcome.baseline), precision)};
       for (int it = 1; it <= 7; it++) {
-        if (it <= static_cast<int>(s.outcome.iterations.size())) {
-          printf(" %9.*f |", precision,
-                 get(s.outcome.iterations[it - 1].result));
-        } else {
-          printf(" %9s |", "-");
-        }
+        row.push_back(it <= static_cast<int>(s.outcome.iterations.size())
+                          ? Num(get(s.outcome.iterations[it - 1].result),
+                                precision)
+                          : "-");
       }
-      printf("\n");
+      rows.push_back(std::move(row));
     }
+    PrintTable({"series", "0", "1", "2", "3", "4", "5", "6", "7"}, rows);
   };
   const std::string figure(figure_name);
   print_table(figure + " (a): Throughput (ops/sec), " + device.name +

@@ -23,43 +23,39 @@ int main() {
     c.run = RunCell(hw, spec, /*seed=*/1000 + c.cores * 10 + c.mem_gib);
   }
 
+  // One "ours" row over the four cells, each formatted by `cell`.
+  auto ours = [&](const char* label, auto cell) {
+    std::vector<std::string> row = {std::string("ours ") + label};
+    for (const auto& c : cells) row.push_back(cell(c.run));
+    return row;
+  };
+  const std::vector<std::string> header = {"Config", "2+4", "2+8", "4+4",
+                                           "4+8"};
+
   PrintHeader(
       "Table 1: Varying Hardware for Fillrandom on NVMe SSD - "
       "Throughput (ops/sec)",
       "paper Table 1");
-  printf("%-8s | %9s | %9s | %9s | %9s\n", "Config", "2+4", "2+8", "4+4",
-         "4+8");
-  printf("%-8s | %9.0f | %9.0f | %9.0f | %9.0f\n", "Default",
-         cells[0].run.baseline.ops_per_sec, cells[1].run.baseline.ops_per_sec,
-         cells[2].run.baseline.ops_per_sec, cells[3].run.baseline.ops_per_sec);
-  printf("%-8s | %9.0f | %9.0f | %9.0f | %9.0f\n", "Tuned",
-         cells[0].run.tuned.ops_per_sec, cells[1].run.tuned.ops_per_sec,
-         cells[2].run.tuned.ops_per_sec, cells[3].run.tuned.ops_per_sec);
-  printf("%-8s | %8.1f%% | %8.1f%% | %8.1f%% | %8.1f%%\n", "Gain",
-         (cells[0].run.outcome.ThroughputGain() - 1) * 100,
-         (cells[1].run.outcome.ThroughputGain() - 1) * 100,
-         (cells[2].run.outcome.ThroughputGain() - 1) * 100,
-         (cells[3].run.outcome.ThroughputGain() - 1) * 100);
-  printf("Paper:   Default 320377|301677|313992|310574 ; Tuned "
-         "362460|348237|362796|329252 (up to +15.5%%)\n");
+  PrintTable(
+      header,
+      {{"paper Default", "320,377", "301,677", "313,992", "310,574"},
+       {"paper Tuned", "362,460", "348,237", "362,796", "329,252"},
+       ours("Default", [](auto& r) { return Num(r.baseline.ops_per_sec); }),
+       ours("Tuned", [](auto& r) { return Num(r.tuned.ops_per_sec); }),
+       ours("Gain", [](auto& r) {
+         return Num((r.outcome.ThroughputGain() - 1) * 100, 1) + "%";
+       })});
 
   PrintHeader(
       "Table 2: Varying Hardware for Fillrandom on NVMe SSD - p99 "
       "Latency (us)",
       "paper Table 2");
-  printf("%-8s | %7s | %7s | %7s | %7s\n", "Config", "2+4", "2+8", "4+4",
-         "4+8");
-  printf("%-8s | %7.2f | %7.2f | %7.2f | %7.2f\n", "Default",
-         cells[0].run.baseline.p99_write_us(),
-         cells[1].run.baseline.p99_write_us(),
-         cells[2].run.baseline.p99_write_us(),
-         cells[3].run.baseline.p99_write_us());
-  printf("%-8s | %7.2f | %7.2f | %7.2f | %7.2f\n", "Tuned",
-         cells[0].run.tuned.p99_write_us(),
-         cells[1].run.tuned.p99_write_us(),
-         cells[2].run.tuned.p99_write_us(),
-         cells[3].run.tuned.p99_write_us());
-  printf("Paper:   Default 5.73|5.92|5.82|5.88 ; Tuned 5.01|5.42|5.03|5.62 "
-         "(up to -13.5%%)\n");
+  PrintTable(
+      header,
+      {{"paper Default", "5.73", "5.92", "5.82", "5.88"},
+       {"paper Tuned", "5.01", "5.42", "5.03", "5.62"},
+       ours("Default",
+            [](auto& r) { return Num(r.baseline.p99_write_us(), 2); }),
+       ours("Tuned", [](auto& r) { return Num(r.tuned.p99_write_us(), 2); })});
   return 0;
 }

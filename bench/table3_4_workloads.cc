@@ -27,45 +27,49 @@ int main() {
     r.run = RunCell(hw, r.spec, seed++);
   }
 
+  // One "ours" row over the four workloads, each formatted by `cell`.
+  auto ours = [&](const char* label, auto cell) {
+    std::vector<std::string> row = {std::string("ours ") + label};
+    for (const auto& r : rows) row.push_back(cell(r.run));
+    return row;
+  };
+
   PrintHeader(
       "Table 3: Varying Workloads with 4 CPUs & 4 GiB on NVMe SSD - "
       "Throughput (ops/sec)",
       "paper Table 3");
-  printf("%-8s | %10s | %10s | %10s | %10s\n", "Config", "FR", "RR", "RRWR",
-         "Mixgraph");
-  printf("%-8s | %10.0f | %10.0f | %10.0f | %10.0f\n", "Default",
-         rows[0].run.baseline.ops_per_sec, rows[1].run.baseline.ops_per_sec,
-         rows[2].run.baseline.ops_per_sec, rows[3].run.baseline.ops_per_sec);
-  printf("%-8s | %10.0f | %10.0f | %10.0f | %10.0f\n", "Tuned",
-         rows[0].run.tuned.ops_per_sec, rows[1].run.tuned.ops_per_sec,
-         rows[2].run.tuned.ops_per_sec, rows[3].run.tuned.ops_per_sec);
-  printf("%-8s | %9.2fx | %9.2fx | %9.2fx | %9.2fx\n", "Gain",
-         rows[0].run.outcome.ThroughputGain(),
-         rows[1].run.outcome.ThroughputGain(),
-         rows[2].run.outcome.ThroughputGain(),
-         rows[3].run.outcome.ThroughputGain());
-  printf("Paper:   Default 313992|1928|13217|17928 ; Tuned "
-         "362796|5178|43598|23488 (1.16x|2.69x|3.30x|1.31x)\n");
+  PrintTable(
+      {"Config", "FR", "RR", "RRWR", "Mixgraph"},
+      {{"paper Default", "313,992", "1,928", "13,217", "17,928"},
+       {"paper Tuned", "362,796", "5,178", "43,598", "23,488"},
+       {"paper Gain", "1.16×", "2.69×", "3.30×", "1.31×"},
+       ours("Default", [](auto& r) { return Num(r.baseline.ops_per_sec); }),
+       ours("Tuned", [](auto& r) { return Num(r.tuned.ops_per_sec); }),
+       ours("Gain", [](auto& r) {
+         return Num(r.outcome.ThroughputGain(), 2) + "×";
+       })});
 
+  // FR issues only writes and RR only reads; RRWR and Mixgraph show both.
+  auto p99_row = [&](const char* label, bool tuned) {
+    auto res = [&](int i) -> const bench::BenchResult& {
+      return tuned ? rows[i].run.tuned : rows[i].run.baseline;
+    };
+    auto both = [](const bench::BenchResult& b) {
+      return Num(b.p99_write_us(), 2) + " / " + Num(b.p99_read_us(), 2);
+    };
+    return std::vector<std::string>{label, Num(res(0).p99_write_us(), 2),
+                                    Num(res(1).p99_read_us(), 2),
+                                    both(res(2)), both(res(3))};
+  };
   PrintHeader(
       "Table 4: Varying Workloads with 4 CPUs & 4 GiB on NVMe SSD - p99 "
       "Latency (us)",
       "paper Table 4");
-  printf("%-8s | %10s | %12s | %22s | %22s\n", "Config", "FR", "RR",
-         "RRWR (write/read)", "Mixgraph (write/read)");
-  printf("%-8s | %10.2f | %12.2f | %10.2f / %9.2f | %10.2f / %9.2f\n",
-         "Default", rows[0].run.baseline.p99_write_us(),
-         rows[1].run.baseline.p99_read_us(),
-         rows[2].run.baseline.p99_write_us(),
-         rows[2].run.baseline.p99_read_us(),
-         rows[3].run.baseline.p99_write_us(),
-         rows[3].run.baseline.p99_read_us());
-  printf("%-8s | %10.2f | %12.2f | %10.2f / %9.2f | %10.2f / %9.2f\n",
-         "Tuned", rows[0].run.tuned.p99_write_us(),
-         rows[1].run.tuned.p99_read_us(), rows[2].run.tuned.p99_write_us(),
-         rows[2].run.tuned.p99_read_us(), rows[3].run.tuned.p99_write_us(),
-         rows[3].run.tuned.p99_read_us());
-  printf("Paper:   Default 5.82|2697.55|57.32/1463.61|14.87/325.65 ; "
-         "Tuned 5.03|155.02|28.21/169.10|14.59/245.56\n");
+  PrintTable({"Config", "FR", "RR", "RRWR (w/r)", "Mixgraph (w/r)"},
+             {{"paper Default", "5.82", "2697.55", "57.32 / 1463.61",
+               "14.87 / 325.65"},
+              {"paper Tuned", "5.03", "155.02", "28.21 / 169.10",
+               "14.59 / 245.56"},
+              p99_row("ours Default", false), p99_row("ours Tuned", true)});
   return 0;
 }

@@ -35,12 +35,6 @@ uint64_t IOAnalysis::total_bytes() const {
   return total;
 }
 
-uint64_t IOAnalysis::total_latency_us() const {
-  uint64_t total = 0;
-  for (const IOBreakdown& b : by_kind) total += b.latency_us;
-  return total;
-}
-
 json::Object IOAnalysis::ToJson() const {
   json::Object doc;
   doc["records"] = static_cast<int64_t>(records);

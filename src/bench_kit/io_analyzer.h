@@ -42,7 +42,6 @@ struct IOAnalysis {
   std::vector<std::array<uint64_t, kNumIOFileKinds>> heatmap;
 
   uint64_t total_bytes() const;
-  uint64_t total_latency_us() const;
 
   json::Object ToJson() const;
   // Human-readable tables (elmo_dump / bench report).

@@ -1,7 +1,6 @@
 #include "bench_kit/regression.h"
 
 #include <cmath>
-#include <cstdio>
 
 #include "bench_kit/bench_runner.h"
 #include "env/device_model.h"
@@ -12,7 +11,7 @@ namespace elmo::bench {
 namespace {
 
 // Committed BENCH files should be stable and readable: three decimals
-// is far below any gate threshold and keeps %.17g noise out of diffs.
+// keep %.17g noise out of diffs.
 double RoundMetric(double v) { return std::round(v * 1000.0) / 1000.0; }
 
 }  // namespace
@@ -67,7 +66,7 @@ MetricMap MetricsFromResult(const BenchResult& r) {
 
   // p99 tail-attribution shares from the run's span trace. The names
   // are FIXED and always emitted (0.0 when the trace captured no tail
-  // for that op) so CompareMatrix never flags them as dropped metrics.
+  // for that op), so every cell carries the same metric set.
   static const struct {
     const char* metric;
     const char* op;
@@ -98,11 +97,13 @@ MetricMap MetricsFromResult(const BenchResult& r) {
   return m;
 }
 
-const MetricMap* MatrixReport::Find(const std::string& name) const {
-  for (const auto& [cell, metrics] : cells) {
-    if (cell == name) return &metrics;
+uint64_t MatrixReport::FailedOps() const {
+  uint64_t failed = 0;
+  for (const auto& cell : cells) {
+    auto it = cell.second.find("errors");
+    if (it != cell.second.end()) failed += static_cast<uint64_t>(it->second);
   }
-  return nullptr;
+  return failed;
 }
 
 std::string MatrixReport::ToJson() const {
@@ -120,65 +121,6 @@ std::string MatrixReport::ToJson() const {
   }
   doc["cells"] = std::move(cell_obj);
   return json::Value(std::move(doc)).Dump(2);
-}
-
-Status MatrixReport::FromJson(const std::string& text, MatrixReport* out) {
-  json::Value doc;
-  Status s = json::Parse(text, &doc);
-  if (!s.ok()) return s;
-  if (!doc.is_object()) {
-    return Status::Corruption("bench_matrix", "top-level not an object");
-  }
-  const json::Value* kind = doc.Find("kind");
-  if (kind == nullptr || !kind->is_string() ||
-      kind->as_string() != "bench_matrix") {
-    return Status::Corruption("bench_matrix", "missing kind=bench_matrix");
-  }
-  *out = MatrixReport();
-  if (const json::Value* v = doc.Find("schema_version");
-      v != nullptr && v->is_number()) {
-    out->schema_version = static_cast<int>(v->as_int());
-  } else {
-    out->schema_version = 0;  // pre-versioned file; comparison refuses it
-  }
-  if (const json::Value* v = doc.Find("build");
-      v != nullptr && v->is_string()) {
-    out->build = v->as_string();
-  }
-  if (const json::Value* v = doc.Find("sim_seed");
-      v != nullptr && v->is_number()) {
-    out->seed = static_cast<uint64_t>(v->as_int());
-  }
-  if (const json::Value* v = doc.Find("mode");
-      v != nullptr && v->is_string()) {
-    out->mode = v->as_string();
-  }
-  const json::Value* cells = doc.Find("cells");
-  if (cells == nullptr || !cells->is_object()) {
-    return Status::Corruption("bench_matrix", "missing cells object");
-  }
-  for (const auto& [name, metrics] : cells->as_object()) {
-    if (!metrics.is_object()) {
-      return Status::Corruption("bench_matrix",
-                                "cell " + name + " not an object");
-    }
-    MetricMap m;
-    for (const auto& [k, v] : metrics.as_object()) {
-      if (v.is_number()) m[k] = v.as_double();
-    }
-    out->cells.emplace_back(name, std::move(m));
-  }
-  return Status::OK();
-}
-
-std::string MatrixReport::MetricsFingerprint() const {
-  json::Object cell_obj;
-  for (const auto& [name, metrics] : cells) {
-    json::Object mo;
-    for (const auto& [k, v] : metrics) mo[k] = v;
-    cell_obj[name] = std::move(mo);
-  }
-  return json::Value(std::move(cell_obj)).Dump();
 }
 
 MatrixReport RunMatrix(
@@ -204,182 +146,6 @@ MatrixReport RunMatrix(
     report.cells.emplace_back(cell.name, std::move(metrics));
   }
   return report;
-}
-
-namespace {
-
-// Gate table: how each metric participates in the breach decision.
-enum class Gate { kThroughputDrop, kP99Rise, kP999Rise, kZero, kInfoOnly };
-
-Gate GateFor(const std::string& metric) {
-  if (metric == "errors") return Gate::kZero;
-  if (metric == "ops_per_sec" || metric == "mb_per_sec") {
-    return metric == "ops_per_sec" ? Gate::kThroughputDrop : Gate::kInfoOnly;
-  }
-  if (metric == "p99_write_us" || metric == "p99_read_us") {
-    return Gate::kP99Rise;
-  }
-  if (metric == "p999_write_us" || metric == "p999_read_us") {
-    return Gate::kP999Rise;
-  }
-  return Gate::kInfoOnly;
-}
-
-}  // namespace
-
-CompareReport CompareMatrix(const MatrixReport& baseline,
-                            const MatrixReport& current,
-                            const RegressionThresholds& thresholds) {
-  CompareReport out;
-  out.baseline_build = baseline.build;
-  out.current_build = current.build;
-
-  if (baseline.schema_version != current.schema_version) {
-    out.incomparable_reason =
-        "schema_version mismatch: baseline v" +
-        std::to_string(baseline.schema_version) + " vs current v" +
-        std::to_string(current.schema_version);
-    return out;
-  }
-  if (baseline.mode != current.mode) {
-    out.incomparable_reason = "mode mismatch: baseline '" + baseline.mode +
-                              "' vs current '" + current.mode + "'";
-    return out;
-  }
-  out.comparable = true;
-
-  char buf[256];
-  for (const auto& [cell, base_metrics] : baseline.cells) {
-    const MetricMap* cur_metrics = current.Find(cell);
-    if (cur_metrics == nullptr) {
-      out.missing_cells.push_back(cell);
-      continue;
-    }
-    for (const auto& [metric, base_v] : base_metrics) {
-      auto it = cur_metrics->find(metric);
-      if (it == cur_metrics->end()) {
-        out.missing_metrics.push_back(cell + ": " + metric);
-        continue;
-      }
-      const double cur_v = it->second;
-      if (base_v == 0 && cur_v == 0) continue;
-
-      MetricDelta d;
-      d.cell = cell;
-      d.metric = metric;
-      d.baseline = base_v;
-      d.current = cur_v;
-      d.delta_pct =
-          base_v == 0 ? 0 : (cur_v - base_v) / base_v * 100.0;
-
-      const Gate gate = GateFor(metric);
-      // Any error fails the cell, whatever the baseline held.
-      d.gated = gate == Gate::kZero ||
-                (gate != Gate::kInfoOnly && base_v != 0);
-      if (d.gated) {
-        switch (gate) {
-          case Gate::kThroughputDrop:
-            d.breach = d.delta_pct < -thresholds.max_throughput_drop_pct;
-            break;
-          case Gate::kP99Rise:
-            d.breach = d.delta_pct > thresholds.max_p99_rise_pct;
-            break;
-          case Gate::kP999Rise:
-            d.breach = d.delta_pct > thresholds.max_p999_rise_pct;
-            break;
-          case Gate::kZero:
-            d.breach = cur_v > 0;
-            break;
-          case Gate::kInfoOnly:
-            break;
-        }
-      }
-      if (d.breach) {
-        snprintf(buf, sizeof(buf), "%s: %s %.3f -> %.3f (%+.1f%%)",
-                 cell.c_str(), metric.c_str(), d.baseline, d.current,
-                 d.delta_pct);
-        out.breaches.push_back(buf);
-      }
-      out.deltas.push_back(std::move(d));
-    }
-  }
-  for (const auto& [cell, metrics] : current.cells) {
-    (void)metrics;
-    if (baseline.Find(cell) == nullptr) out.new_cells.push_back(cell);
-  }
-  return out;
-}
-
-std::string CompareReport::ToText() const {
-  std::string out;
-  char buf[256];
-  if (!comparable) {
-    return "INCOMPARABLE: " + incomparable_reason + "\n";
-  }
-  snprintf(buf, sizeof(buf), "baseline %s vs current %s\n",
-           baseline_build.c_str(), current_build.c_str());
-  out += buf;
-  out +=
-      "cell                           metric          baseline     "
-      "current    delta\n";
-  for (const auto& d : deltas) {
-    snprintf(buf, sizeof(buf), "%-30s %-14s %11.3f %11.3f %+7.1f%%%s%s\n",
-             d.cell.c_str(), d.metric.c_str(), d.baseline, d.current,
-             d.delta_pct, d.gated ? "" : "  (info)",
-             d.breach ? "  << BREACH" : "");
-    out += buf;
-  }
-  for (const auto& c : missing_cells) {
-    out += "MISSING CELL (in current run): " + c + "\n";
-  }
-  for (const auto& m : missing_metrics) {
-    out += "MISSING METRIC (in current run): " + m + "\n";
-  }
-  for (const auto& c : new_cells) {
-    out += "new cell (no baseline): " + c + "\n";
-  }
-  if (HasBreach()) {
-    out += "RESULT: REGRESSION BREACH (" +
-           std::to_string(breaches.size() + missing_cells.size() +
-                          missing_metrics.size()) +
-           " finding(s))\n";
-  } else {
-    out += "RESULT: ok\n";
-  }
-  return out;
-}
-
-std::string CompareReport::ToJson() const {
-  json::Object doc;
-  doc["kind"] = "bench_matrix_diff";
-  doc["comparable"] = comparable;
-  doc["incomparable_reason"] = incomparable_reason;
-  doc["baseline_build"] = baseline_build;
-  doc["current_build"] = current_build;
-  doc["has_breach"] = HasBreach();
-  json::Array deltas_arr;
-  for (const auto& d : deltas) {
-    json::Object o;
-    o["cell"] = d.cell;
-    o["metric"] = d.metric;
-    o["baseline"] = d.baseline;
-    o["current"] = d.current;
-    o["delta_pct"] = d.delta_pct;
-    o["gated"] = d.gated;
-    o["breach"] = d.breach;
-    deltas_arr.push_back(json::Value(std::move(o)));
-  }
-  doc["deltas"] = std::move(deltas_arr);
-  auto to_arr = [](const std::vector<std::string>& v) {
-    json::Array a;
-    for (const auto& s : v) a.push_back(json::Value(s));
-    return a;
-  };
-  doc["missing_cells"] = to_arr(missing_cells);
-  doc["missing_metrics"] = to_arr(missing_metrics);
-  doc["new_cells"] = to_arr(new_cells);
-  doc["breaches"] = to_arr(breaches);
-  return json::Value(std::move(doc)).Dump(2);
 }
 
 }  // namespace elmo::bench

@@ -220,12 +220,6 @@ void Version::GetOverlappingInputs(int level, const InternalKey* begin,
   }
 }
 
-bool Version::OverlapInLevel(int level, const Slice* smallest_user_key,
-                             const Slice* largest_user_key) {
-  return SomeFileOverlapsRange(*vset_->icmp(), (level > 0), files_[level],
-                               smallest_user_key, largest_user_key);
-}
-
 std::string Version::LevelSummary() const {
   std::string r = "files[ ";
   for (int level = 0; level < num_levels(); level++) {

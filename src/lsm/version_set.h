@@ -59,9 +59,6 @@ class Version {
                             const InternalKey* end,
                             std::vector<FileRef>* inputs);
 
-  bool OverlapInLevel(int level, const Slice* smallest_user_key,
-                      const Slice* largest_user_key);
-
   int NumFiles(int level) const {
     return static_cast<int>(files_[level].size());
   }

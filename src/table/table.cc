@@ -423,20 +423,4 @@ Status Table::InternalGet(
   return index_iter->status();
 }
 
-uint64_t Table::ApproximateOffsetOf(const Slice& key) const {
-  Status s;
-  std::shared_ptr<const Block> index = GetIndexBlock(&s);
-  if (index == nullptr) return 0;
-  auto index_iter = index->NewIterator(rep_->options.comparator);
-  index_iter->Seek(key);
-  if (index_iter->Valid()) {
-    Slice input = index_iter->value();
-    BlockHandle handle;
-    if (handle.DecodeFrom(&input).ok()) {
-      return handle.offset();
-    }
-  }
-  return 0;
-}
-
 }  // namespace elmo

@@ -84,8 +84,6 @@ class Table {
                          handler,
                      int level = -1) const;
 
-  uint64_t ApproximateOffsetOf(const Slice& key) const;
-
  private:
   struct Rep;
   explicit Table(std::unique_ptr<Rep> rep);

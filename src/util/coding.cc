@@ -150,11 +150,4 @@ bool GetLengthPrefixedSlice(Slice* input, Slice* result) {
   return false;
 }
 
-bool GetFixed64(Slice* input, uint64_t* value) {
-  if (input->size() < sizeof(uint64_t)) return false;
-  *value = DecodeFixed64(input->data());
-  input->remove_prefix(sizeof(uint64_t));
-  return true;
-}
-
 }  // namespace elmo

@@ -47,7 +47,6 @@ char* EncodeVarint64(char* dst, uint64_t value);
 bool GetVarint32(Slice* input, uint32_t* value);
 bool GetVarint64(Slice* input, uint64_t* value);
 bool GetLengthPrefixedSlice(Slice* input, Slice* result);
-bool GetFixed64(Slice* input, uint64_t* value);
 
 // Pointer-based parsers used in hot paths; return nullptr on failure.
 const char* GetVarint32Ptr(const char* p, const char* limit, uint32_t* value);

@@ -58,11 +58,6 @@ void ThreadPool::SetBackgroundThreads(int num_threads) {
   work_cv_.notify_all();
 }
 
-int ThreadPool::QueueLen() const {
-  std::lock_guard<std::mutex> l(mu_);
-  return static_cast<int>(queue_.size());
-}
-
 void ThreadPool::WorkerLoop() {
   std::unique_lock<std::mutex> l(mu_);
   while (true) {

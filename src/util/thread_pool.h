@@ -29,12 +29,10 @@ class ThreadPool {
   // shrinking retires surplus workers as they finish their current job.
   void SetBackgroundThreads(int num_threads);
 
-  int QueueLen() const;
-
  private:
   void WorkerLoop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable idle_cv_;
   std::deque<std::function<void()>> queue_;
